@@ -27,7 +27,8 @@ from repro.core import (
     ScalaGraphConfig,
 )
 from repro.experiments import format_table
-from repro.experiments.parallel import RetryPolicy, run_matrix_parallel
+from repro.experiments.executor import RetryPolicy
+from repro.experiments.parallel import run_matrix_parallel
 from repro.experiments.runner import (
     SYSTEM_BUILDERS,
     build_system,
@@ -1085,15 +1086,17 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
 
     policy = ServicePolicy(
         workers=args.workers,
-        cell_timeout_s=args.cell_timeout,
-        max_attempts=args.max_attempts,
-        backoff_base_s=args.backoff_base,
-        backoff_cap_s=args.backoff_cap,
+        retry=RetryPolicy(
+            cell_timeout=args.cell_timeout,
+            max_retries=args.max_attempts - 1,
+            backoff=args.backoff_base,
+            backoff_cap=args.backoff_cap,
+            seed=args.seed,
+        ),
         queue_capacity=args.queue_capacity,
         max_clients=args.max_clients,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
-        seed=args.seed,
     )
 
     def announce(endpoint: dict) -> None:

@@ -38,8 +38,9 @@ class WorkerCrashError(ReproError):
     """A parallel sweep exhausted its retries on one or more cells.
 
     Raised by :func:`repro.experiments.parallel.run_matrix_parallel`
-    only when its retry budget is spent *and* the serial in-process
-    fallback is disabled; completed cells are already persisted (cache
+    only when the retry budget of its
+    :class:`~repro.experiments.executor.RetryPolicy` is spent *and* the
+    serial in-process fallback is disabled; completed cells are already persisted (cache
     and checkpoint), so re-invoking the sweep recomputes only the cells
     named here.
 

@@ -14,8 +14,8 @@ from repro.experiments.breakdown import (
     describe,
     phase_shares,
 )
-from repro.experiments.checkpoint import SweepCheckpoint
-from repro.experiments.parallel import RetryPolicy, run_matrix_parallel
+from repro.experiments.executor import RetryPolicy
+from repro.experiments.parallel import SweepCheckpoint, run_matrix_parallel
 from repro.experiments.runner import (
     ALGORITHM_ORDER,
     GRAPH_ORDER,

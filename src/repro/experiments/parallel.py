@@ -1,55 +1,45 @@
 """Parallel fan-out of the experiment matrix.
 
 The paper's evaluation is a (graph x algorithm x system) sweep whose
-cells are independent; :func:`run_matrix_parallel` fans them out over a
-``concurrent.futures.ProcessPoolExecutor`` and merges the results back
-deterministically, so a parallel sweep's :class:`ExperimentMatrix` is
-identical — per-cell ``to_dict()`` output included — to the serial
-:func:`~repro.experiments.runner.run_matrix`'s.
+cells are independent; :func:`run_matrix_parallel` fans them out over
+the process pool of a :class:`~repro.experiments.executor.CellExecutor`
+and merges the results back deterministically, so a parallel sweep's
+:class:`ExperimentMatrix` is identical — per-cell ``to_dict()`` output
+included — to the serial :func:`~repro.experiments.runner.run_matrix`'s.
 
-Design notes:
-
-* The unit of work is one **(graph, algorithm) cell with all of its
-  missing systems**, not one (graph, algorithm, system) triple: the
-  functional reference execution is shared across systems, and
-  splitting it over workers would recompute it per system.
-* Work items cross the process boundary as plain strings/ints and come
-  back as :class:`SimulationReport` (numpy arrays pickle natively), so
-  pickling normally cannot fail; if it does — or multiprocessing is
-  unavailable altogether — the runner falls back to in-process serial
-  execution rather than raising.
-* **Crash isolation** (:class:`RetryPolicy`): a worker that dies (OOM
-  kill, segfault) breaks the whole ``ProcessPoolExecutor``; instead of
-  aborting the sweep, the runner requeues the in-flight cells, rebuilds
-  the pool, and retries each cell up to ``max_retries`` times with
-  exponential backoff.  Cells that exhaust their retries are recomputed
-  serially in-process (``serial_fallback=True``, the default) or
-  reported via :class:`~repro.errors.WorkerCrashError`.
-* **Timeouts**: with ``cell_timeout`` set, a cell that exceeds its
-  wall-clock budget is cancelled (or, if already running, its pool is
-  torn down) and retried like a crashed cell.
-* **Incremental persistence**: with a
-  :class:`~repro.experiments.store.ResultCache`, cached cells are
-  loaded in the parent before any worker is spawned and fresh results
-  are written back *per completed cell*, not at sweep end — a crash
-  never discards finished work.  A
-  :class:`~repro.experiments.checkpoint.SweepCheckpoint` journal
-  additionally makes interrupted sweeps resumable even without a
-  cache: at most the in-flight cells are lost.
+The unit of work is one (graph, algorithm) cell with all of its
+missing systems, because the functional reference execution is shared
+across systems.  A dead worker or an overdue cell costs a pool rebuild
+and a retry, not the sweep; a cell the pool cannot run at all (no
+multiprocessing support, an unpicklable payload) is recomputed
+in-process.  Every cell goes through
+:func:`~repro.experiments.executor.run_cell`, so cached cells never
+reach a worker and fresh ones are written back as each lands; a
+:class:`SweepCheckpoint` makes an interrupted sweep resumable even
+without a cache, losing at most the in-flight cells.
 """
 
 from __future__ import annotations
 
+import asyncio
+import hashlib
+import json
+import os
 import pickle
-import time
-from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.stats import SimulationReport
 from repro.errors import ConfigurationError, WorkerCrashError
-from repro.experiments.checkpoint import SweepCheckpoint
+from repro.experiments.executor import (
+    CellExecutor,
+    CellFailed,
+    Execute,
+    Journal,
+    Record,
+    RetryPolicy,
+    run_cell,
+)
 from repro.experiments.runner import (
     ALGORITHM_ORDER,
     GRAPH_ORDER,
@@ -59,48 +49,72 @@ from repro.experiments.runner import (
 )
 from repro.experiments.store import CODE_MODEL_VERSION, ResultCache
 
+#: A (graph, algorithm, system) cell key.
+CellKey = Tuple[str, str, str]
+
 #: (graph, algorithm, missing-systems) work unit shipped to a worker.
 _CellJob = Tuple[str, str, Tuple[str, ...]]
 
-#: Callback fired in the parent for every completed (g, a, s) result.
-_OnResult = Callable[[Tuple[str, str, str], SimulationReport], None]
+#: Computes a job's systems with the given function and persists them.
+_Complete = Callable[[str, str, Tuple[str, ...], Execute], None]
+
+_CHECKPOINT_SCHEMA = "repro-sweep-checkpoint/1"
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Resilience knobs of the pooled runner.
+def _parse_checkpoint_cell(record: Record) -> Tuple[CellKey, SimulationReport]:
+    key = tuple(record["key"])
+    if len(key) != 3:
+        raise ValueError("malformed cell key")
+    return key, SimulationReport.from_dict(record["report"])
 
-    Attributes:
-        cell_timeout: wall-clock seconds one cell (its whole worker
-            call) may take before it is cancelled and retried; None
-            disables timeouts.
-        max_retries: times a crashed/timed-out cell is retried on a
-            fresh pool before it is given up on (0 = no retries).
-        backoff: base of the exponential retry delay; retry *n* sleeps
-            ``backoff * 2**(n-1)`` seconds (capped at 2 s).
-        poll_interval: seconds the parent blocks per wait() call while
-            supervising in-flight cells; bounds timeout-detection
-            latency.
-        serial_fallback: recompute cells that exhausted their retries
-            serially in-process (True, the default) instead of raising
-            :class:`~repro.errors.WorkerCrashError`.
+
+class SweepCheckpoint:
+    """A sweep's completed cells, journaled as they land.
+
+    The record layout over a :class:`~repro.experiments.executor.Journal`:
+    a header carrying the SHA-256 of the sweep's identity, then one
+    ``{"key", "report"}`` record per completed (graph, algorithm,
+    system) cell.  A journal written for a *different* sweep is ignored
+    and rewritten rather than trusted — resuming PageRank cells into a
+    BFS sweep would silently corrupt the matrix.
+
+    Args:
+        path: journal file location.
+        signature: JSON-serialisable description of the sweep's identity
+            (axes, scale shift, iteration cap, model version); only its
+            digest is stored.
     """
 
-    cell_timeout: Optional[float] = None
-    max_retries: int = 2
-    backoff: float = 0.05
-    poll_interval: float = 0.1
-    serial_fallback: bool = True
+    def __init__(self, path: os.PathLike, signature: Dict) -> None:
+        self.path = Path(path)
+        digest = hashlib.sha256(
+            json.dumps(signature, sort_keys=True, default=str).encode()
+        ).hexdigest()
+        self._journal = Journal(
+            self.path,
+            {"schema": _CHECKPOINT_SCHEMA, "signature": digest},
+            parse=_parse_checkpoint_cell,
+            identity=("schema", "signature"),
+            sort_keys=False,
+        )
 
-    def __post_init__(self) -> None:
-        if self.cell_timeout is not None and self.cell_timeout <= 0:
-            raise ConfigurationError("cell_timeout must be positive or None")
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        if self.backoff < 0:
-            raise ConfigurationError("backoff must be >= 0")
-        if self.poll_interval <= 0:
-            raise ConfigurationError("poll_interval must be positive")
+    def load(self) -> Dict[CellKey, SimulationReport]:
+        """Completed cells journaled by a previous (interrupted) run;
+        for duplicate keys the last complete entry wins."""
+        return dict(self._journal.replay()[0])
+
+    def start(self, reset: bool = False) -> None:
+        """Open for appending; ``reset`` discards the journaled cells."""
+        self._journal.open(reset)
+
+    def append(self, key: CellKey, report: SimulationReport) -> None:
+        """Journal one completed cell (durable on return)."""
+        self._journal.append(
+            {"key": list(key), "report": report.to_dict(include_iterations=True)}
+        )
+
+    def close(self) -> None:
+        self._journal.close()
 
 
 def _cell_worker(
@@ -131,16 +145,15 @@ def run_matrix_parallel(
     """Run the sweep with cell-level process parallelism.
 
     Args:
-        max_workers: worker processes; ``None`` lets the executor pick
+        max_workers: worker processes; ``None`` uses one per CPU
             (bounded by the number of dispatched cells), ``1`` runs
             serially in-process without spawning a pool.
         cache: optional on-disk result cache; hits skip computation
             entirely and fresh cells are written back as they complete.
         refresh: recompute every cell even when cached/checkpointed.
-        policy: crash-isolation/timeout/retry knobs of the pooled path
-            (defaults to :class:`RetryPolicy`'s defaults).
-        checkpoint: optional path to a
-            :class:`~repro.experiments.checkpoint.SweepCheckpoint`
+        policy: timeout/retry knobs of the pooled path (defaults to
+            :class:`RetryPolicy`'s defaults).
+        checkpoint: optional path to a :class:`SweepCheckpoint`
             journal.  Completed cells are journaled as they land and an
             interrupted sweep re-invoked with the same path resumes
             from the journal, losing at most the in-flight cells.
@@ -158,7 +171,7 @@ def run_matrix_parallel(
     systems = tuple(systems)
 
     ckpt: Optional[SweepCheckpoint] = None
-    resumed: Dict[Tuple[str, str, str], SimulationReport] = {}
+    resumed: Dict[CellKey, SimulationReport] = {}
     if checkpoint is not None:
         ckpt = SweepCheckpoint(
             checkpoint,
@@ -178,313 +191,136 @@ def run_matrix_parallel(
         if not refresh:
             resumed = ckpt.load()
 
-    cached: Dict[Tuple[str, str, str], SimulationReport] = {}
+    done: Dict[CellKey, SimulationReport] = {}
     jobs: List[_CellJob] = []
+
+    def from_checkpoint(
+        graph: str, algorithm: str, missing: Sequence[str], *_: object
+    ) -> List[Tuple[str, SimulationReport]]:
+        # Planning pass: the cache missed these systems.  Journaled ones
+        # are answered now (run_cell promotes them into the cache, so
+        # later sweeps hit without the checkpoint file); the rest are
+        # left out of the answer and become one job.
+        todo = tuple(s for s in missing if (graph, algorithm, s) not in resumed)
+        if todo:
+            jobs.append((graph, algorithm, todo))
+        return [(s, resumed[(graph, algorithm, s)]) for s in missing if s not in todo]
+
     for graph_name in graphs:
         for algorithm_name in algorithms:
-            missing: List[str] = []
-            for system_label in systems:
-                key = (graph_name, algorithm_name, system_label)
-                report = None
-                if cache is not None and not refresh:
-                    report = cache.get(
-                        graph_name,
-                        algorithm_name,
-                        system_label,
-                        scale_shift=scale_shift,
-                        max_iterations=max_iterations,
-                    )
-                if report is None and key in resumed:
-                    report = resumed[key]
-                    if cache is not None:
-                        # Promote the journaled cell into the cache so
-                        # later sweeps hit without the checkpoint file.
-                        cache.put(
-                            graph_name,
-                            algorithm_name,
-                            system_label,
-                            report,
-                            scale_shift=scale_shift,
-                            max_iterations=max_iterations,
-                        )
-                if report is None:
-                    missing.append(system_label)
-                else:
-                    cached[key] = report
-            if missing:
-                jobs.append((graph_name, algorithm_name, tuple(missing)))
+            for system_label, report, _ in run_cell(
+                graph_name,
+                algorithm_name,
+                systems,
+                scale_shift,
+                max_iterations,
+                cache,
+                refresh,
+                execute=from_checkpoint,
+            ):
+                done[(graph_name, algorithm_name, system_label)] = report
 
-    def persist(
-        key: Tuple[str, str, str], report: SimulationReport
+    def complete(
+        graph: str, algorithm: str, missing: Tuple[str, ...], execute: Execute
     ) -> None:
-        # Incremental write-back: runs in the parent the moment a cell
-        # completes, so a crash later in the sweep loses nothing.
-        if cache is not None:
-            cache.put(
-                key[0],
-                key[1],
-                key[2],
-                report,
-                scale_shift=scale_shift,
-                max_iterations=max_iterations,
-            )
-        if ckpt is not None:
-            ckpt.append(key, report)
+        # Runs in the parent the moment a job's results exist, so a
+        # crash later in the sweep loses nothing.  The planning pass
+        # already looked these systems up, hence ``refresh=True``.
+        for system, report, _ in run_cell(
+            graph,
+            algorithm,
+            missing,
+            scale_shift,
+            max_iterations,
+            cache,
+            refresh=True,
+            execute=execute,
+        ):
+            done[(graph, algorithm, system)] = report
+            if ckpt is not None:
+                ckpt.append((graph, algorithm, system), report)
 
-    on_result = persist if (cache is not None or ckpt is not None) else None
-
-    computed: Dict[Tuple[str, str, str], SimulationReport] = {}
     if jobs:
         if ckpt is not None:
             ckpt.start(reset=refresh)
         try:
             if max_workers == 1 or len(jobs) == 1:
-                _run_jobs_serial(
-                    jobs, scale_shift, max_iterations, computed,
-                    on_result=on_result,
-                )
+                for job in jobs:
+                    complete(*job, execute_cell)
             else:
-                _run_jobs_pooled(
-                    jobs, scale_shift, max_iterations, max_workers, computed,
-                    policy=policy, on_result=on_result,
+                _run_pooled(
+                    jobs,
+                    complete,
+                    scale_shift,
+                    max_iterations,
+                    max_workers,
+                    policy or RetryPolicy(),
                 )
         finally:
             if ckpt is not None:
                 ckpt.close()
 
-    matrix = ExperimentMatrix()
-    for graph_name in graphs:
-        for algorithm_name in algorithms:
-            for system_label in systems:
-                key = (graph_name, algorithm_name, system_label)
-                matrix.reports[key] = (
-                    computed[key] if key in computed else cached[key]
-                )
+    matrix = ExperimentMatrix(done)
+    matrix.sort_nominal(graphs, algorithms, systems)
     return matrix
 
 
-# ----------------------------------------------------------------------
-# Execution strategies
-# ----------------------------------------------------------------------
-def _run_jobs_serial(
+def _run_pooled(
     jobs: Sequence[_CellJob],
-    scale_shift: int,
-    max_iterations: Optional[int],
-    out: Dict[Tuple[str, str, str], SimulationReport],
-    on_result: Optional[_OnResult] = None,
-) -> None:
-    for graph_name, algorithm_name, missing in jobs:
-        for system_label, report in execute_cell(
-            graph_name, algorithm_name, missing, scale_shift, max_iterations
-        ):
-            key = (graph_name, algorithm_name, system_label)
-            out[key] = report
-            if on_result is not None:
-                on_result(key, report)
-
-
-def _terminate_pool(pool) -> None:
-    """Tear a pool down without waiting on its (possibly hung) workers."""
-    processes = getattr(pool, "_processes", None) or {}
-    for proc in list(processes.values()):
-        proc.terminate()
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _run_jobs_pooled(
-    jobs: Sequence[_CellJob],
+    complete: _Complete,
     scale_shift: int,
     max_iterations: Optional[int],
     max_workers: Optional[int],
-    out: Dict[Tuple[str, str, str], SimulationReport],
-    policy: Optional[RetryPolicy] = None,
-    on_result: Optional[_OnResult] = None,
+    policy: RetryPolicy,
 ) -> None:
-    """Fan the jobs over a process pool with crash isolation.
+    """Fan the jobs over a :class:`CellExecutor` pool.
 
-    A dying worker breaks the whole ``ProcessPoolExecutor`` (every
-    outstanding future raises ``BrokenProcessPool``); the supervisor
-    loop below requeues the in-flight cells, rebuilds the pool, and
-    retries them under the :class:`RetryPolicy`.  Cells that exhaust
-    their retries fall back to in-process serial execution (or raise
-    :class:`~repro.errors.WorkerCrashError` when the policy forbids the
-    fallback).  When the pool cannot be used at all (no multiprocessing
-    support) or a payload will not pickle, whatever cells are still
-    missing are recomputed serially; completed results are never
-    discarded or overwritten.
+    Cells that exhaust their retries are recomputed in-process, or
+    reported via :class:`~repro.errors.WorkerCrashError` when the policy
+    forbids the fallback; so are cells the pool cannot run at all.
     """
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
+    failed: Dict[_CellJob, Optional[BaseException]] = {}
+    in_process: List[_CellJob] = []
 
-    policy = policy or RetryPolicy()
-    if max_workers is not None:
-        max_workers = min(max_workers, len(jobs))
+    async def sweep() -> None:
+        executor = CellExecutor(
+            min(max_workers or os.cpu_count() or 1, len(jobs)), policy
+        )
 
-    pending: Deque[Tuple[_CellJob, int]] = deque((job, 0) for job in jobs)
-    failed: List[_CellJob] = []
-    # Last failure context per job, so a cell given up on after N pool
-    # rebuilds still reports *why* its attempts failed (the original
-    # BrokenProcessPool / timeout), not just a bare give-up.
-    last_cause: Dict[_CellJob, BaseException] = {}
-
-    def record(job: _CellJob, results) -> None:
-        graph_name, algorithm_name, _ = job
-        last_cause.pop(job, None)
-        for system_label, report in results:
-            key = (graph_name, algorithm_name, system_label)
-            out[key] = report
-            if on_result is not None:
-                on_result(key, report)
-
-    def requeue(
-        job: _CellJob,
-        attempts: int,
-        cause: Optional[BaseException] = None,
-    ) -> None:
-        if cause is not None:
-            last_cause[job] = cause
-        if attempts > policy.max_retries:
-            failed.append(job)
-            return
-        if policy.backoff > 0 and attempts > 0:
-            time.sleep(min(policy.backoff * 2 ** (attempts - 1), 2.0))
-        pending.append((job, attempts))
-
-    try:
-        while pending:
-            pool = ProcessPoolExecutor(max_workers=max_workers)
-            limit = getattr(pool, "_max_workers", None) or len(jobs)
-            # future -> (job, attempts, deadline)
-            inflight: Dict = {}
-            broken = False
+        async def one(job: _CellJob) -> None:
             try:
-                while (pending or inflight) and not broken:
-                    while pending and len(inflight) < limit and not broken:
-                        job, attempts = pending.popleft()
-                        try:
-                            future = pool.submit(
-                                _cell_worker,
-                                job[0],
-                                job[1],
-                                job[2],
-                                scale_shift,
-                                max_iterations,
-                            )
-                        except BrokenProcessPool as exc:
-                            broken = True
-                            requeue(job, attempts + 1, cause=exc)
-                            break
-                        deadline = (
-                            None
-                            if policy.cell_timeout is None
-                            else time.monotonic() + policy.cell_timeout
-                        )
-                        inflight[future] = (job, attempts, deadline)
-                    done, _ = wait(
-                        set(inflight),
-                        timeout=policy.poll_interval,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in done:
-                        job, attempts, _ = inflight.pop(future)
-                        try:
-                            results = future.result(timeout=0)
-                        except BrokenProcessPool as exc:
-                            # A worker died; this future may be the
-                            # victim or a bystander — both retry.
-                            broken = True
-                            requeue(job, attempts + 1, cause=exc)
-                        else:
-                            record(job, results)
-                    if broken:
-                        continue
-                    now = time.monotonic()
-                    expired = [
-                        future
-                        for future, (_, _, deadline) in inflight.items()
-                        if deadline is not None and now >= deadline
-                    ]
-                    for future in expired:
-                        job, attempts, _ = inflight.pop(future)
-                        if not future.cancel():
-                            # Already running: the only way to reclaim
-                            # the worker is to tear the pool down.
-                            broken = True
-                        requeue(
-                            job,
-                            attempts + 1,
-                            cause=TimeoutError(
-                                f"cell {job[0]}/{job[1]} exceeded its "
-                                f"{policy.cell_timeout:g}s wall-clock "
-                                "budget"
-                            ),
-                        )
-            finally:
-                # Whatever is still in flight goes back to the queue: a
-                # cancelled-before-start cell keeps its attempt count, a
-                # victim of a broken/torn-down pool is charged one.
-                for future, (job, attempts, _) in inflight.items():
-                    if future.cancel():
-                        pending.appendleft((job, attempts))
-                    else:
-                        requeue(job, attempts + 1)
-                inflight.clear()
-                _terminate_pool(pool)
-    except (pickle.PicklingError, OSError, ImportError):
-        # No/broken multiprocessing support, or an unpicklable payload:
-        # recompute whatever is still missing in-process.
-        _run_jobs_serial(
-            _still_missing(jobs, out),
-            scale_shift,
-            max_iterations,
-            out,
-            on_result=on_result,
-        )
+                results, _ = await executor.run(
+                    _cell_worker, *job, scale_shift, max_iterations
+                )
+            except CellFailed as exc:
+                if policy.serial_fallback:
+                    in_process.append(job)
+                else:
+                    failed[job] = exc.cause
+            except (pickle.PicklingError, OSError, ImportError):
+                in_process.append(job)
+            else:
+                complete(*job, lambda *_: results)
+
+        try:
+            await asyncio.gather(*(one(job) for job in jobs))
+        finally:
+            executor.close()
+
+    asyncio.run(sweep())
+    for job in in_process:
+        complete(*job, execute_cell)
+    if not failed:
         return
-
-    if failed:
-        if policy.serial_fallback:
-            _run_jobs_serial(
-                _still_missing(failed, out),
-                scale_shift,
-                max_iterations,
-                out,
-                on_result=on_result,
-            )
-        else:
-            cells = [
-                (graph_name, algorithm_name, system_label)
-                for graph_name, algorithm_name, missing in failed
-                for system_label in missing
-                if (graph_name, algorithm_name, system_label) not in out
-            ]
-            causes = {
-                (graph_name, algorithm_name, system_label): last_cause[
-                    (graph_name, algorithm_name, missing)
-                ]
-                for graph_name, algorithm_name, missing in failed
-                for system_label in missing
-                if (graph_name, algorithm_name, missing) in last_cause
-                and (graph_name, algorithm_name, system_label) not in out
-            }
-            error = WorkerCrashError(cells, causes=causes)
-            # Chain the first original failure so the traceback shows
-            # what actually broke inside the pool.
-            raise error from next(iter(causes.values()), None)
-
-
-def _still_missing(
-    jobs: Sequence[_CellJob],
-    out: Dict[Tuple[str, str, str], SimulationReport],
-) -> List[_CellJob]:
-    """The sub-jobs whose systems are not computed yet."""
-    remaining: List[_CellJob] = []
-    for graph_name, algorithm_name, missing in jobs:
-        left = tuple(
-            system_label
-            for system_label in missing
-            if (graph_name, algorithm_name, system_label) not in out
-        )
-        if left:
-            remaining.append((graph_name, algorithm_name, left))
-    return remaining
+    cells = [(g, a, s) for g, a, missing in failed for s in missing]
+    causes = {
+        (g, a, s): cause
+        for (g, a, missing), cause in failed.items()
+        if cause is not None
+        for s in missing
+    }
+    # Chain the first original failure so the traceback shows what
+    # actually broke inside the pool.
+    raise WorkerCrashError(cells, causes=causes) from next(
+        iter(causes.values()), None
+    )

@@ -104,9 +104,8 @@ class ExperimentMatrix:
         """Reorder :attr:`reports` into nominal sweep order.
 
         Insertion order is observable (:meth:`systems` / :meth:`cells`
-        preserve it), so runners that fill cells out of order — cache
-        hits first, parallel completions as they land — normalise with
-        this before returning.  Keys outside the nominal sweep keep
+        preserve it), so code that fills cells out of order normalises
+        with this before reading it.  Keys outside the nominal sweep keep
         their relative order at the end.
         """
         ordered: Dict[Tuple[str, str, str], SimulationReport] = {}
@@ -185,50 +184,24 @@ def run_matrix(
     See :func:`repro.experiments.parallel.run_matrix_parallel` for the
     multi-process variant; both produce identical matrices.
     """
+    # The executor module imports this one, so import it at call time.
+    from repro.experiments.executor import run_cell
+
     matrix = ExperimentMatrix()
     for graph_name in graphs:
         for algorithm_name in algorithms:
-            missing = list(systems)
-            if cache is not None and not refresh:
-                missing = []
-                for system_label in systems:
-                    report = cache.get(
-                        graph_name,
-                        algorithm_name,
-                        system_label,
-                        scale_shift=scale_shift,
-                        max_iterations=max_iterations,
-                    )
-                    if report is None:
-                        missing.append(system_label)
-                    else:
-                        matrix.reports[
-                            (graph_name, algorithm_name, system_label)
-                        ] = report
-            if not missing:
-                continue
-            for system_label, report in execute_cell(
+            for system_label, report, _ in run_cell(
                 graph_name,
                 algorithm_name,
-                missing,
+                systems,
                 scale_shift,
                 max_iterations,
+                cache,
+                refresh,
             ):
                 matrix.reports[
                     (graph_name, algorithm_name, system_label)
                 ] = report
-                if cache is not None:
-                    cache.put(
-                        graph_name,
-                        algorithm_name,
-                        system_label,
-                        report,
-                        scale_shift=scale_shift,
-                        max_iterations=max_iterations,
-                    )
-    if cache is not None:
-        # Deterministic key order regardless of which cells were cached.
-        matrix.sort_nominal(graphs, algorithms, systems)
     return matrix
 
 

@@ -2,9 +2,11 @@
 
 A *config family* is the blast radius of a systematic failure: the
 (algorithm, fidelity) slice of the sweep space whose cells share the
-code paths that crash together.  When a family keeps producing
-:class:`~repro.errors.WorkerCrashError`/:class:`~repro.errors.SanitizerError`
-outcomes, retrying every new request against it just burns the worker
+code paths that crash together.  When a family's attempts on the
+:class:`~repro.experiments.executor.CellExecutor` keep failing — worker
+deaths (``BrokenProcessPool``), timeouts, or a
+:class:`~repro.errors.ReproError` such as
+:class:`~repro.errors.SanitizerError` — retrying every new request against it just burns the worker
 pool (each crash costs a pool rebuild) and starves healthy families.
 The breaker converts that into fast, explicit degradation:
 

@@ -1,25 +1,18 @@
-"""The sweep service's execution core: journal, pool, SLOs, degradation.
+"""The sweep service's scheduler: journal, SLOs, degradation.
 
-:class:`SweepScheduler` owns everything between admission and response:
+:class:`SweepScheduler` owns everything between admission and response.
+Its journal, worker pool and retries are the execution core the batch
+sweep shares (:mod:`repro.experiments.executor`); on top of it sit:
 
-* a **durable journal** (:class:`ServiceJournal`) — an fsync'd
-  append-only JSONL file recording every admitted request, every
-  finished cell, and every completed request.  Like
-  :class:`~repro.experiments.checkpoint.SweepCheckpoint` it tolerates a
-  torn tail (a daemon SIGKILLed mid-write loses at most the record
-  being written); on boot the valid prefix is replayed, unfinished
-  requests are re-admitted, and their already-journaled cells are
-  *not* re-executed — the monotone-recovery property the chaos soak
-  asserts.
-* a **worker pool** with crash isolation: cells run in a
-  ``ProcessPoolExecutor``; a SIGKILLed worker breaks the pool
-  (``BrokenProcessPool``), which the scheduler absorbs by rebuilding
-  the pool and retrying the cell under jittered exponential backoff.
+* the **service journal** — its record layout (``request``, ``cell``,
+  ``done``) over the shared :class:`~repro.experiments.executor.Journal`.
+  On boot the valid prefix is replayed, unfinished requests are
+  re-admitted, and their already-journaled cells are *not*
+  re-executed — the monotone-recovery property the chaos soak asserts.
 * **SLO deadline propagation**: a request's ``deadline_s`` budget is
-  anchored at admission and converted into per-cell timeouts
-  (``min(cell_timeout_s, remaining)``); once the budget is spent the
-  remaining cells return *degraded* analytic results instead of
-  queueing unbounded work behind a blown deadline.
+  anchored at admission and caps every cell attempt's timeout; once
+  the budget is spent the remaining cells return *degraded* analytic
+  results instead of queueing unbounded work behind a blown deadline.
 * **graceful degradation** via the per-family circuit breakers: cells
   whose family is open — or whose own retries are exhausted — are
   answered by the in-process analytic model, marked
@@ -35,18 +28,13 @@ admission queue's weighted round-robin order.
 from __future__ import annotations
 
 import asyncio
-import json
 import multiprocessing
 import os
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.errors import (
     CircuitOpenError,
@@ -54,10 +42,15 @@ from repro.errors import (
     ReproError,
     SanitizerError,
 )
-from repro.experiments.parallel import _terminate_pool
-from repro.experiments.runner import execute_cell
+from repro.experiments.executor import (
+    CellExecutor,
+    CellFailed,
+    Journal,
+    Record,
+    RetryPolicy,
+    run_cell,
+)
 from repro.experiments.store import CODE_MODEL_VERSION, ResultCache
-from repro.graph.datasets import stable_seed
 from repro.service.breaker import BreakerPolicy, CircuitBreakerBank
 from repro.service.protocol import (
     DEGRADED_BREAKER_OPEN,
@@ -73,7 +66,10 @@ from repro.service.protocol import (
 )
 from repro.service.queue import AdmissionQueue
 
-_JOURNAL_SCHEMA = "repro-service-journal/1"
+_JOURNAL_HEADER = {
+    "schema": "repro-service-journal/1",
+    "model_version": CODE_MODEL_VERSION,
+}
 
 
 # ----------------------------------------------------------------------
@@ -118,47 +114,6 @@ def _summarise_report(report: Any) -> Dict[str, Any]:
     }
 
 
-def _analytic_cell(
-    graph: str,
-    algorithm: str,
-    systems: Tuple[str, ...],
-    scale_shift: int,
-    max_iterations: Optional[int],
-    cache_dir: Optional[str],
-) -> List[Tuple[str, Dict[str, Any], bool]]:
-    """Run one cell's systems analytically, through the result cache."""
-    cache = ResultCache(cache_dir) if cache_dir else None
-    out: List[Tuple[str, Dict[str, Any], bool]] = []
-    missing: List[str] = []
-    for system in systems:
-        report = (
-            cache.get(graph, algorithm, system, scale_shift, max_iterations)
-            if cache
-            else None
-        )
-        if report is not None:
-            out.append((system, _summarise_report(report), True))
-        else:
-            missing.append(system)
-    if missing:
-        for system, report in execute_cell(
-            graph, algorithm, missing, scale_shift, max_iterations
-        ):
-            if cache:
-                cache.put(
-                    graph,
-                    algorithm,
-                    system,
-                    report,
-                    scale_shift,
-                    max_iterations,
-                )
-            out.append((system, _summarise_report(report), False))
-    order = {system: rank for rank, system in enumerate(systems)}
-    out.sort(key=lambda entry: order[entry[0]])
-    return out
-
-
 def _cycle_cell(
     graph: str,
     algorithm: str,
@@ -173,19 +128,24 @@ def _cycle_cell(
     from repro.core.cycle_sim import CycleAccurateScalaGraph
     from repro.experiments.runner import load_benchmark_graph
     from repro.faults import FaultConfig, FaultSchedule
+    from repro.noc.topology import MeshTopology
 
     graph_obj = load_benchmark_graph(graph, algorithm, scale_shift)
     out: List[Tuple[str, Dict[str, Any], bool]] = []
     for system in systems:
         rows, cols = _CYCLE_MESH[system]
-        hardware = ScalaGraphConfig(num_tiles=1, pe_rows=rows, pe_cols=cols)
-        sim = CycleAccurateScalaGraph(hardware)
-        if fault_seed is not None:
-            schedule = FaultSchedule(
-                sim.topology,
+        faults = (
+            None
+            if fault_seed is None
+            else FaultSchedule(
+                MeshTopology(rows, cols),
                 FaultConfig(seed=fault_seed, pe_stalls=1),
             )
-            sim = CycleAccurateScalaGraph(hardware, faults=schedule)
+        )
+        sim = CycleAccurateScalaGraph(
+            ScalaGraphConfig(num_tiles=1, pe_rows=rows, pe_cols=cols),
+            faults=faults,
+        )
         program = make_algorithm(algorithm)
         result = sim.run(program, graph_obj, max_iterations)
         stats = result.stats
@@ -216,7 +176,7 @@ def _service_cell_worker(
     max_iterations: Optional[int],
     fidelity: str,
     fault_seed: Optional[int],
-    cache_dir: Optional[str],
+    cache_dir: str,
     chaos: Tuple[str, ...],
     chaos_dir: str,
     request_id: str,
@@ -239,9 +199,17 @@ def _service_cell_worker(
         return _cycle_cell(
             graph, algorithm, systems, scale_shift, max_iterations, fault_seed
         )
-    return _analytic_cell(
-        graph, algorithm, systems, scale_shift, max_iterations, cache_dir
-    )
+    return [
+        (system, _summarise_report(report), cached)
+        for system, report, cached in run_cell(
+            graph,
+            algorithm,
+            systems,
+            scale_shift,
+            max_iterations,
+            cache=ResultCache(cache_dir),
+        )
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +217,7 @@ def _service_cell_worker(
 # ----------------------------------------------------------------------
 @dataclass
 class JournalReplay:
-    """The valid prefix of a service journal, parsed.
+    """The valid prefix of a service journal, folded by request.
 
     ``valid_bytes`` is the byte length of that prefix — recovery
     truncates the file there before appending, so one torn tail cannot
@@ -262,91 +230,35 @@ class JournalReplay:
     valid_bytes: int = 0
 
 
+def _check_record(record: Record) -> Record:
+    """Reject a record outside the service's layout (ends the prefix)."""
+    kind = record.get("kind")
+    if kind not in ("request", "cell", "done"):
+        raise ValueError(f"unknown service journal record kind {kind!r}")
+    if not isinstance(record.get("request_id"), str):
+        raise ValueError("service journal record without a request_id")
+    return record
+
+
+def _service_journal(path: Path) -> Journal[Record]:
+    return Journal(path, _JOURNAL_HEADER, parse=_check_record)
+
+
 def replay_journal(path: Path) -> JournalReplay:
-    """Parse a journal's valid prefix; tolerant of any torn tail.
-
-    Reading stops at the first line that is incomplete (no trailing
-    newline), fails to decode, or is not an object — everything before
-    it is trusted (each record was fsync'd before the next began).  An
-    unrecognised header schema discards the whole file (fail-safe: an
-    incompatible journal must not be half-replayed).
-    """
-    replay = JournalReplay()
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return replay
-    offset = 0
-    first = True
-    while offset < len(raw):
-        end = raw.find(b"\n", offset)
-        if end < 0:
-            break  # torn tail: record was being written when we died
-        line = raw[offset : end + 1]
-        try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            break
-        if not isinstance(record, dict):
-            break
-        if first:
-            if record.get("schema") != _JOURNAL_SCHEMA:
-                return JournalReplay()
-            first = False
+    """Fold a journal's valid prefix by request; see
+    :meth:`~repro.experiments.executor.Journal.replay` for what ends the
+    prefix (an unrecognised header schema discards the whole file)."""
+    records, valid_bytes = _service_journal(path).replay()
+    replay = JournalReplay(valid_bytes=valid_bytes)
+    for record in records:
+        request_id = record["request_id"]
+        if record["kind"] == "request":
+            replay.requests[request_id] = record.get("request", {})
+        elif record["kind"] == "cell":
+            replay.cells.setdefault(request_id, []).append(record)
         else:
-            kind = record.get("kind")
-            request_id = record.get("request_id")
-            if not isinstance(request_id, str):
-                break
-            if kind == "request":
-                replay.requests[request_id] = record.get("request", {})
-            elif kind == "cell":
-                replay.cells.setdefault(request_id, []).append(record)
-            elif kind == "done":
-                replay.done[request_id] = record
-            else:
-                break
-        offset = end + 1
-        replay.valid_bytes = offset
+            replay.done[request_id] = record
     return replay
-
-
-class ServiceJournal:
-    """Append-only fsync'd JSONL journal of the service's commitments.
-
-    Every ``append`` is flush+fsync before returning, so a record the
-    scheduler believes durable *is* durable — the property that lets
-    the soak harness SIGKILL the daemon at arbitrary points and still
-    demand zero lost requests.
-    """
-
-    def __init__(self, path: Path, valid_bytes: int = 0) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists() or valid_bytes == 0
-        self._fh = open(self.path, "a+b")
-        self._fh.seek(0, os.SEEK_END)
-        if not fresh and self._fh.tell() > valid_bytes:
-            # Torn tail from a previous incarnation: drop it before the
-            # next append would glue two half-records together.
-            self._fh.truncate(valid_bytes)
-            self._fh.seek(0, os.SEEK_END)
-        if fresh:
-            self._fh.truncate(0)
-            self.append(
-                {"schema": _JOURNAL_SCHEMA, "model_version": CODE_MODEL_VERSION}
-            )
-
-    def append(self, record: Dict[str, Any]) -> None:
-        self._fh.write(json.dumps(record, sort_keys=True).encode() + b"\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._fh.close()
 
 
 # ----------------------------------------------------------------------
@@ -359,33 +271,32 @@ class ServicePolicy:
     Attributes:
         workers: process-pool width (also the per-request cell
             concurrency cap).
-        cell_timeout_s: wall-clock budget of one cell attempt; an
-            expiry tears the pool down (the only way to reclaim a hung
-            worker) and counts as a failure.
-        max_attempts: attempts per cell before degrading with reason
-            ``retries-exhausted``.
-        backoff_base_s: first retry delay; doubles per attempt.
-        backoff_cap_s: upper bound on any retry delay.
+        retry: the pool's :class:`~repro.experiments.executor.RetryPolicy`.
+            ``cell_timeout`` is the wall-clock budget of one cell
+            attempt (an expiry tears the pool down and counts as a
+            failure); a cell degrades with reason ``retries-exhausted``
+            after ``max_retries + 1`` attempts; ``backoff``,
+            ``backoff_cap`` and ``seed`` shape the jittered retry delay.
+            ``serial_fallback`` does not apply: the daemon degrades.
         queue_capacity: admission queue depth before 429 shedding.
         max_clients: admission queue client-slot table size.
         breaker_threshold: consecutive family failures that open the
             circuit breaker.
         breaker_cooldown_s: seconds an open breaker sheds before the
             half-open probe.
-        seed: root of the jittered-backoff RNG stream (deterministic
-            replays for the soak harness).
     """
 
     workers: int = 2
-    cell_timeout_s: float = 60.0
-    max_attempts: int = 3
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 1.0
+    retry: RetryPolicy = RetryPolicy(cell_timeout=60.0, backoff_cap=1.0)
     queue_capacity: int = 64
     max_clients: int = 16
     breaker_threshold: int = 3
     breaker_cooldown_s: float = 30.0
-    seed: int = 0
+
+    @property
+    def max_attempts(self) -> int:
+        """Attempts per cell before it degrades."""
+        return self.retry.max_retries + 1
 
 
 class _RequestState:
@@ -455,13 +366,18 @@ class SweepScheduler:
         )
         self.requests: Dict[str, _RequestState] = {}
         self.recovered_requests = 0
-        self._rng = np.random.default_rng(
-            stable_seed(f"service-backoff:{self.policy.seed}")
+        self.cache = ResultCache(self.cache_dir)
+        # Spawn, not fork: a forked worker inherits the asyncio signal
+        # machinery (the wakeup-fd self-pipe is shared across fork), so
+        # a SIGTERM aimed at a worker during pool teardown would fire
+        # the *daemon's* SIGTERM handler and drain the whole service.
+        # Spawned workers share no loop state with the daemon.
+        self.executor = CellExecutor(
+            self.policy.workers,
+            self.policy.retry,
+            mp_context=multiprocessing.get_context("spawn"),
         )
-        self._journal: Optional[ServiceJournal] = None
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_generation = 0
-        self._pool_lock = asyncio.Lock()
+        self._journal = _service_journal(self.journal_path)
         self._wake = asyncio.Event()
         self._loop_task: Optional[asyncio.Task] = None
         self._draining = False
@@ -477,9 +393,7 @@ class SweepScheduler:
     async def start(self) -> None:
         """Replay the journal, re-admit unfinished work, start the loop."""
         replay = replay_journal(self.journal_path)
-        self._journal = ServiceJournal(
-            self.journal_path, valid_bytes=replay.valid_bytes
-        )
+        self._journal.open()
         for request_id, wire in replay.requests.items():
             try:
                 request = SweepRequest.from_wire(wire)
@@ -509,12 +423,8 @@ class SweepScheduler:
         if self._loop_task is not None:
             await self._loop_task
             self._loop_task = None
-        async with self._pool_lock:
-            if self._pool is not None:
-                _terminate_pool(self._pool)
-                self._pool = None
-        if self._journal is not None:
-            self._journal.close()
+        self.executor.close()
+        self._journal.close()
         self.drained = True
 
     # ------------------------------------------------------------------
@@ -542,7 +452,6 @@ class SweepScheduler:
         self.queue.offer(request.client_id, request_id)
         state = _RequestState(request_id, request)
         self.requests[request_id] = state
-        assert self._journal is not None, "scheduler not started"
         self._journal.append(
             {
                 "kind": "request",
@@ -605,7 +514,7 @@ class SweepScheduler:
             "breakers": self.breakers.snapshot(),
             "requests": states,
             "recovered_requests": self.recovered_requests,
-            "pool_generation": self._pool_generation,
+            "pool_generation": self.executor.generation,
             "chaos_enabled": self.chaos_enabled,
         }
 
@@ -656,7 +565,6 @@ class SweepScheduler:
         ]
         if tasks:
             await asyncio.gather(*tasks)
-        assert self._journal is not None
         self._journal.append(
             {
                 "kind": "done",
@@ -672,7 +580,6 @@ class SweepScheduler:
             state.cond.notify_all()
 
     async def _emit(self, state: _RequestState, record: Dict[str, Any]) -> None:
-        assert self._journal is not None
         self._journal.append(record)
         async with state.cond:
             state.records.append(record)
@@ -698,69 +605,45 @@ class SweepScheduler:
             return self._degraded(
                 state, graph, algorithm, systems, DEGRADED_BREAKER_OPEN, 0
             )
-        attempts = 0
-        while attempts < self.policy.max_attempts:
-            attempts += 1
-            timeout = self.policy.cell_timeout_s
-            if state.deadline is not None:
-                remaining = state.deadline - time.monotonic()
-                if remaining <= 0:
-                    return self._degraded(
-                        state, graph, algorithm, systems, DEGRADED_DEADLINE, attempts - 1
-                    )
-                timeout = min(timeout, remaining)
-            pool, generation = await self._ensure_pool()
-            loop = asyncio.get_running_loop()
-            try:
-                payload = await asyncio.wait_for(
-                    loop.run_in_executor(
-                        pool,
-                        _service_cell_worker,
-                        graph,
-                        algorithm,
-                        systems,
-                        request.scale_shift,
-                        request.max_iterations,
-                        request.fidelity,
-                        request.fault_seed,
-                        str(self.cache_dir),
-                        request.chaos,
-                        str(self.chaos_dir),
-                        state.request_id,
-                    ),
-                    timeout=timeout,
-                )
-            except BrokenProcessPool:
-                await self._rebuild_pool(generation)
-                self.breakers.record_failure(family, time.monotonic())
-                await self._backoff(attempts)
-                continue
-            except (asyncio.TimeoutError, TimeoutError):
-                # The worker may be hung: tearing the pool down is the
-                # only way to reclaim it.
-                await self._rebuild_pool(generation)
-                self.breakers.record_failure(family, time.monotonic())
-                await self._backoff(attempts)
-                continue
-            except ReproError:
-                self.breakers.record_failure(family, time.monotonic())
-                await self._backoff(attempts)
-                continue
-            self.breakers.record_success(family)
-            return [
-                cell_record(
-                    state.request_id,
-                    graph,
-                    algorithm,
-                    system,
-                    dict(summary, cached=cached),
-                    attempts=attempts,
-                )
-                for system, summary, cached in payload
-            ]
-        return self._degraded(
-            state, graph, algorithm, systems, DEGRADED_RETRIES_EXHAUSTED, attempts
-        )
+        try:
+            payload, attempts = await self.executor.run(
+                _service_cell_worker,
+                graph,
+                algorithm,
+                systems,
+                request.scale_shift,
+                request.max_iterations,
+                request.fidelity,
+                request.fault_seed,
+                str(self.cache_dir),
+                request.chaos,
+                str(self.chaos_dir),
+                state.request_id,
+                deadline=state.deadline,
+                retry_on=(ReproError, OSError),
+                on_failure=lambda _: self.breakers.record_failure(
+                    family, time.monotonic()
+                ),
+            )
+        except CellFailed as failed:
+            reason = (
+                DEGRADED_DEADLINE if failed.deadline else DEGRADED_RETRIES_EXHAUSTED
+            )
+            return self._degraded(
+                state, graph, algorithm, systems, reason, failed.attempts
+            )
+        self.breakers.record_success(family)
+        return [
+            cell_record(
+                state.request_id,
+                graph,
+                algorithm,
+                system,
+                dict(summary, cached=cached),
+                attempts=attempts,
+            )
+            for system, summary, cached in payload
+        ]
 
     def _degraded(
         self,
@@ -782,16 +665,18 @@ class SweepScheduler:
         """
         request = state.request
         try:
-            computed = _analytic_cell(
+            computed = run_cell(
                 graph,
                 algorithm,
                 systems,
                 request.scale_shift,
                 request.max_iterations,
-                str(self.cache_dir),
+                cache=self.cache,
             )
-            summaries = {system: summary for system, summary, _ in computed}
-        except ReproError as exc:
+            summaries = {
+                system: _summarise_report(report) for system, report, _ in computed
+            }
+        except (ReproError, OSError) as exc:
             summaries = {
                 system: {"error": f"{type(exc).__name__}: {exc}"}
                 for system in systems
@@ -809,45 +694,3 @@ class SweepScheduler:
             )
             for system in systems
         ]
-
-    # ------------------------------------------------------------------
-    # Pool management + backoff
-    # ------------------------------------------------------------------
-    async def _ensure_pool(self) -> Tuple[ProcessPoolExecutor, int]:
-        async with self._pool_lock:
-            if self._pool is None:
-                # Spawn, not fork: a forked worker inherits the asyncio
-                # signal machinery (the wakeup-fd self-pipe is shared
-                # across fork), so a SIGTERM aimed at a worker during
-                # pool teardown would fire the *daemon's* SIGTERM
-                # handler and drain the whole service.  Spawned workers
-                # share no loop state with the daemon.
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.policy.workers,
-                    mp_context=multiprocessing.get_context("spawn"),
-                )
-            return self._pool, self._pool_generation
-
-    async def _rebuild_pool(self, generation: int) -> None:
-        """Tear down and forget the pool, once per failure generation.
-
-        Concurrent cells hitting the same broken pool all call in; the
-        generation check makes the teardown idempotent so the second
-        caller does not destroy the freshly built replacement.
-        """
-        async with self._pool_lock:
-            if generation != self._pool_generation:
-                return
-            if self._pool is not None:
-                _terminate_pool(self._pool)
-                self._pool = None
-            self._pool_generation += 1
-
-    async def _backoff(self, attempt: int) -> None:
-        """Jittered exponential backoff between one cell's attempts."""
-        base = min(
-            self.policy.backoff_base_s * (2.0 ** (attempt - 1)),
-            self.policy.backoff_cap_s,
-        )
-        jitter = float(self._rng.uniform(0.0, base))
-        await asyncio.sleep(base + jitter)

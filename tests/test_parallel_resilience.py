@@ -146,7 +146,7 @@ class TestRetryPolicyValidation:
         with pytest.raises(ConfigurationError):
             RetryPolicy(backoff=-0.1)
         with pytest.raises(ConfigurationError):
-            RetryPolicy(poll_interval=0)
+            RetryPolicy(backoff_cap=-1.0)
 
 
 class TestCrashIsolation:
@@ -160,7 +160,7 @@ class TestCrashIsolation:
             ALGORITHMS,
             SYSTEMS,
             max_workers=2,
-            policy=RetryPolicy(max_retries=2, poll_interval=0.02),
+            policy=RetryPolicy(max_retries=2),
             **KW,
         )
         assert _flag("crash-armed").read_text() == "fired"
@@ -181,7 +181,6 @@ class TestCrashIsolation:
                 policy=RetryPolicy(
                     max_retries=0,
                     backoff=0.01,
-                    poll_interval=0.02,
                     serial_fallback=False,
                 ),
                 **KW,
@@ -209,7 +208,7 @@ class TestCrashIsolation:
             SYSTEMS,
             max_workers=2,
             policy=RetryPolicy(
-                cell_timeout=2.0, max_retries=2, poll_interval=0.05
+                cell_timeout=2.0, max_retries=2
             ),
             **KW,
         )
@@ -233,7 +232,7 @@ class TestCrashIsolation:
             SYSTEMS,
             max_workers=2,
             policy=RetryPolicy(
-                max_retries=1, backoff=0.01, poll_interval=0.02
+                max_retries=1, backoff=0.01
             ),
             **KW,
         )
@@ -261,7 +260,6 @@ class TestCheckpointResume:
                 policy=RetryPolicy(
                     max_retries=0,
                     backoff=0.01,
-                    poll_interval=0.02,
                     serial_fallback=False,
                 ),
                 checkpoint=ckpt_path,
@@ -298,7 +296,7 @@ class TestCheckpointResume:
             ALGORITHMS,
             SYSTEMS,
             max_workers=2,
-            policy=RetryPolicy(poll_interval=0.02),
+            policy=RetryPolicy(),
             checkpoint=ckpt_path,
             **KW,
         )
@@ -325,7 +323,6 @@ class TestCheckpointResume:
                 policy=RetryPolicy(
                     max_retries=0,
                     backoff=0.01,
-                    poll_interval=0.02,
                     serial_fallback=False,
                 ),
                 **KW,
@@ -340,7 +337,7 @@ class TestCheckpointResume:
             SYSTEMS,
             max_workers=2,
             cache=cache,
-            policy=RetryPolicy(poll_interval=0.02),
+            policy=RetryPolicy(),
             **KW,
         )
         assert len(matrix.reports) == len(ALGORITHMS)
@@ -365,15 +362,17 @@ class TestCheckpointResume:
     def test_checkpoint_truncated_at_every_byte_offset(self, tmp_path):
         """Chop the journal after every byte of the last record: resume
         must never lose a fully-journaled cell, never raise, and never
-        resurrect a phantom (satellite: torn-tail exhaustive sweep)."""
+        resurrect a phantom (satellite: torn-tail exhaustive sweep).
+        A resumed writer must then append cleanly after the torn tail:
+        every cell it journals is loadable next time."""
         ckpt_path = tmp_path / "sweep.ckpt"
         ckpt = SweepCheckpoint(ckpt_path, signature={"axes": "a"})
         ckpt.start()
-        reports = run_matrix(GRAPHS, ["bfs", "pagerank"], SYSTEMS, **KW)
+        reports = run_matrix(GRAPHS, ["bfs", "pagerank", "cc"], SYSTEMS, **KW)
         first = ("PK", "bfs", SYSTEMS[0])
         second = ("PK", "pagerank", SYSTEMS[0])
+        third = ("PK", "cc", SYSTEMS[0])
         ckpt.append(first, reports.reports[first])
-        ckpt._flush()
         first_end = ckpt_path.stat().st_size
         ckpt.append(second, reports.reports[second])
         ckpt.close()
@@ -389,6 +388,13 @@ class TestCheckpointResume:
             # of the full line may round-trip as the in-flight cell.
             if second in loaded:
                 assert cut >= len(raw) - 1  # at worst the newline is torn
+
+            resumed = SweepCheckpoint(ckpt_path, signature={"axes": "a"})
+            resumed.start()
+            resumed.append(third, reports.reports[third])
+            resumed.close()
+            after = SweepCheckpoint(ckpt_path, signature={"axes": "a"}).load()
+            assert set(after) == set(loaded) | {third}
 
     def test_checkpoint_tolerates_torn_tail(self, tmp_path):
         ckpt_path = tmp_path / "sweep.ckpt"

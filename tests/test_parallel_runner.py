@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import run_matrix, run_matrix_parallel
+from repro.experiments import RetryPolicy, run_matrix, run_matrix_parallel
 from repro.experiments.store import ResultCache
 import repro.experiments.parallel as parallel_mod
 
@@ -66,12 +66,9 @@ class TestPoolFallback:
     ):
         """A pool that cannot run any job must degrade, not raise."""
 
-        def broken_pool(
-            jobs, scale_shift, max_iterations, max_workers, out, **kwargs
-        ):
-            parallel_mod._run_jobs_serial(
-                jobs, scale_shift, max_iterations, out
-            )
+        def broken_pool(jobs, complete, *args, **kwargs):
+            for job in jobs:
+                complete(*job, parallel_mod.execute_cell)
 
         calls = []
 
@@ -79,7 +76,7 @@ class TestPoolFallback:
             calls.append(1)
             return broken_pool(*args, **kwargs)
 
-        monkeypatch.setattr(parallel_mod, "_run_jobs_pooled", tracked)
+        monkeypatch.setattr(parallel_mod, "_run_pooled", tracked)
         par = run_matrix_parallel(
             GRAPHS, ALGORITHMS, SYSTEMS, max_workers=4, **KW
         )
@@ -90,7 +87,7 @@ class TestPoolFallback:
         """Simulate pickling failure inside the pooled path itself."""
         import pickle
 
-        real_pooled = parallel_mod._run_jobs_pooled
+        real_pooled = parallel_mod._run_pooled
 
         def exploding_submit(*args, **kwargs):
             raise pickle.PicklingError("cannot pickle")
@@ -101,8 +98,18 @@ class TestPoolFallback:
             ProcessPoolExecutor, "submit", exploding_submit
         )
         out = {}
+
+        def complete(graph, algorithm, missing, execute):
+            for system, report in execute(
+                graph, algorithm, missing, KW["scale_shift"], KW["max_iterations"]
+            ):
+                out[(graph, algorithm, system)] = report
+
         jobs = [("PK", "bfs", tuple(SYSTEMS))]
-        real_pooled(jobs, KW["scale_shift"], KW["max_iterations"], 2, out)
+        real_pooled(
+            jobs, complete, KW["scale_shift"], KW["max_iterations"], 2,
+            RetryPolicy(),
+        )
         assert set(out) == {("PK", "bfs", s) for s in SYSTEMS}
 
     def test_single_job_stays_in_process(self, monkeypatch):
@@ -111,7 +118,7 @@ class TestPoolFallback:
         def forbidden(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("pool should not be used for one job")
 
-        monkeypatch.setattr(parallel_mod, "_run_jobs_pooled", forbidden)
+        monkeypatch.setattr(parallel_mod, "_run_pooled", forbidden)
         par = run_matrix_parallel(
             ["PK"], ["bfs"], SYSTEMS, max_workers=8, **KW
         )

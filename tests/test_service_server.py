@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.errors import AdmissionError, ProtocolError
+from repro.experiments.executor import RetryPolicy
 from repro.service.protocol import (
     DEGRADED_BREAKER_OPEN,
     DEGRADED_DEADLINE,
@@ -29,10 +30,9 @@ from repro.service.server import _ServiceServer
 
 FAST = ServicePolicy(
     workers=2,
-    cell_timeout_s=60.0,
-    max_attempts=2,
-    backoff_base_s=0.01,
-    backoff_cap_s=0.05,
+    retry=RetryPolicy(
+        cell_timeout=60.0, max_retries=1, backoff=0.01, backoff_cap=0.05
+    ),
     breaker_threshold=2,
     breaker_cooldown_s=60.0,
     queue_capacity=8,
@@ -89,6 +89,26 @@ class TestSchedulerLifecycle:
             assert set(replay.requests) == {request_id}
             assert len(replay.cells[request_id]) == 1
             assert request_id in replay.done
+        asyncio.run(body())
+
+    def test_retagged_cell_is_served_from_the_cache(self, tmp_path):
+        """A new request for an already-computed cell reads the result
+        cache instead of recomputing it."""
+        async def body():
+            scheduler = SweepScheduler(tmp_path, policy=FAST)
+            await scheduler.start()
+            first = scheduler.submit(payload(tag="one"))
+            records = await wait_done(scheduler, first["request_id"])
+            cells = [r for r in records if r["kind"] == "cell"]
+            assert [c["summary"]["cached"] for c in cells] == [False]
+
+            second = scheduler.submit(payload(tag="two"))
+            assert second["request_id"] != first["request_id"]
+            records = await wait_done(scheduler, second["request_id"])
+            again = [r for r in records if r["kind"] == "cell"]
+            assert [c["summary"]["cached"] for c in again] == [True]
+            assert again[0]["summary"]["gteps"] == cells[0]["summary"]["gteps"]
+            await scheduler.drain()
         asyncio.run(body())
 
     def test_queue_full_is_deterministic_under_burst(self, tmp_path):

@@ -3,6 +3,10 @@
 Runs the *end-to-end* cycle-accurate simulator — dispatcher queues,
 aggregation arrays, NoC, SPD retire — twice over an identical R-MAT
 PageRank workload, once per ``cycle_engine``, and reports cycles/sec.
+``cycle_engine`` picks the scatter phase and the mesh as one pair, so
+"reference" is the reference scatter over the reference mesh; the
+committed ``BENCH_PR6.json``/``BENCH_PR9.json`` predate that and time
+the reference scatter over the vectorized mesh as "reference".
 Timings are interleaved (ref, vec, ref, vec, ...) and the best of N is
 kept per engine, which is markedly more stable than back-to-back runs
 on a noisy machine.  Before any timing is trusted the two engines must

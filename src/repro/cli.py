@@ -587,12 +587,14 @@ def _probe_noc_engines(
 def _probe_cycle_engines(
     rows: int = 8, cols: int = 8, scale: int = 6, seed: int = 3
 ) -> dict:
-    """Time one end-to-end cycle-sim run on each scatter-phase engine.
+    """Time one end-to-end cycle-sim run on each engine pair.
 
     The cycle-engine counterpart of :func:`_probe_noc_engines`: a small
     in-process rendition of ``benchmarks/bench_cycle_engine_speed`` (the
-    full artefact lives in ``BENCH_PR6.json``).  Both engines must agree
-    on total cycles — a cheap standing equivalence probe.
+    full artefact lives in ``BENCH_PR6.json``).  ``cycle_engine``
+    switches the scatter phase and the mesh together, so "reference"
+    is the whole reference pair.  Both pairs must agree on total
+    cycles — a cheap standing equivalence probe.
     """
     from repro.algorithms import make_algorithm
     from repro.core.cycle_sim import CycleAccurateScalaGraph
@@ -758,7 +760,8 @@ def cmd_bench(args: argparse.Namespace, out) -> int:
     The JSON summary is the machine-readable artefact benchmark
     trajectories consume: per-cell headline metrics, cache hit/miss
     accounting, and the named wall-clock timers/counters of the
-    analytic model and the cycle simulator.
+    analytic model and the cycle simulator.  Exits 1, after the
+    summary is written, when an engine-equivalence probe disagrees.
     """
     wall_start = time.perf_counter()
     cache = None if args.no_cache else ResultCache(args.cache_dir)
@@ -851,13 +854,18 @@ def cmd_bench(args: argparse.Namespace, out) -> int:
         "fault_probe": _bench_fault_probe(),
     }
 
+    probes_ok = (
+        summary["noc_engine_probe"]["cycles_agree"]
+        and summary["cycle_engine_probe"]["cycles_agree"]
+        and summary["fault_probe"]["ok"]
+    )
     text = json.dumps(summary, indent=2)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     if args.json:
         print(text, file=out)
-        return 0
+        return 0 if probes_ok else 1
 
     rows = [
         [g, a, s, cell.gteps, f"{cell.total_cycles:,.0f}"]
@@ -930,7 +938,7 @@ def cmd_bench(args: argparse.Namespace, out) -> int:
         file=out,
     )
     print(f"\nwall time: {summary['wall_seconds']:.2f} s", file=out)
-    return 0
+    return 0 if probes_ok else 1
 
 
 def cmd_lint(args: argparse.Namespace, out) -> int:

@@ -96,24 +96,14 @@ class ScalaGraphConfig:
             dispatch line (paper default 16; 1 = baseline scheduler).
         inter_phase_pipelining: overlap Apply with the next Scatter for
             monotonic algorithms (Section IV-D).
-        noc_engine: cycle-level mesh simulator implementation —
-            'reference' (one Router object per node, the auditable
-            golden model), 'vectorized' (struct-of-arrays NumPy engine,
-            behaviourally identical), or 'auto' (vectorized at or above
-            repro.noc.fastmesh.AUTO_VECTORIZE_MIN_NODES nodes).
-        noc_engine_fallback: when a vectorized engine (mesh or scatter)
-            trips a SanitizerError mid-run, transparently retry the
-            whole run on the reference engines with an
-            EngineFallbackWarning instead of killing the experiment
-            (graceful degradation; set False to let the error
-            propagate, e.g. in engine debugging sessions).
-        cycle_engine: scatter-phase implementation of the cycle-accurate
-            simulator — 'reference' (per-object Python loops, the
-            auditable golden model), 'vectorized' (struct-of-arrays
-            NumPy engine over dispatch/aggregation/egress/SPD,
-            behaviourally identical; see repro.core.fastsim), or
-            'auto' (vectorized at or above
-            repro.core.fastsim.AUTO_CYCLE_ENGINE_MIN_NODES nodes).
+        cycle_engine: engine pair of the cycle-level simulators —
+            'reference' (the per-object scatter phase over one Router
+            object per node, the auditable golden model), 'vectorized'
+            (the struct-of-arrays scatter phase of repro.core.fastsim
+            over repro.noc.fastmesh.FastMeshNetwork, behaviourally
+            identical), or 'auto' (vectorized at or above
+            repro.noc.fastmesh.AUTO_VECTORIZE_MIN_NODES nodes).  The
+            mesh of FunctionalScalaGraph follows the same switch.
         hbm: off-chip memory parameters.
         spd: scratchpad parameters.
         edge_bytes: stored bytes per edge (4, Section I).
@@ -129,8 +119,6 @@ class ScalaGraphConfig:
     aggregation_registers: int = 16
     degree_aware_window: int = 16
     inter_phase_pipelining: bool = True
-    noc_engine: str = "auto"
-    noc_engine_fallback: bool = True
     cycle_engine: str = "auto"
     hbm: HBMConfig = field(default_factory=HBMConfig)
     spd: ScratchpadConfig = field(default_factory=ScratchpadConfig)
@@ -147,11 +135,6 @@ class ScalaGraphConfig:
             raise ConfigurationError(
                 f"unknown mapping {self.mapping!r} "
                 "(rom/som/dom/rom-torus)"
-            )
-        if self.noc_engine.lower() not in ("auto", "reference", "vectorized"):
-            raise ConfigurationError(
-                f"unknown noc_engine {self.noc_engine!r} "
-                "(auto/reference/vectorized)"
             )
         if self.cycle_engine.lower() not in (
             "auto",

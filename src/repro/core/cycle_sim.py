@@ -13,17 +13,16 @@ slice retires one Reduce per cycle.
 It exists to validate the analytic timing model: tests check that on
 small graphs the two models' Scatter-phase cycle counts agree within a
 small factor, and that the architecture still computes exactly the
-Figure 1 result.  Two independently selectable engines cover the
-per-cycle work: the mesh-NoC step is delegated to
-:attr:`~repro.core.config.ScalaGraphConfig.noc_engine` (vectorised
-struct-of-arrays at 16x16 and beyond; see :mod:`repro.noc.fastmesh`),
-and the scatter-phase loops around it — dispatch, aggregation, RU
-egress, SPD retire — to
-:attr:`~repro.core.config.ScalaGraphConfig.cycle_engine` (the
-behaviourally identical :mod:`repro.core.fastsim` engine at the same
-threshold; this class's ``_scatter_phase`` is the auditable
-reference).  Fully idle cycles fast-forward to the mesh's next
-scheduled event under either engine.
+Figure 1 result.  One switch,
+:attr:`~repro.core.config.ScalaGraphConfig.cycle_engine`, picks the
+whole engine pair that does the per-cycle work: this class's
+``_scatter_phase`` (dispatch, aggregation, RU egress, SPD retire) over
+the reference :class:`~repro.noc.mesh.MeshNetwork` — the auditable
+golden model — or the behaviourally identical
+:func:`~repro.core.fastsim.scatter_phase_fast` over a lean
+:class:`~repro.noc.fastmesh.FastMeshNetwork` (chosen by ``auto`` at
+8x8 and beyond).  Fully idle cycles fast-forward to the mesh's next
+scheduled event under either pair.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from repro.algorithms.base import ProgramContext, VertexProgram
 from repro.algorithms.reference import gather_frontier_edges
 from repro.analysis.sanitizer import SimSanitizer, maybe_sanitizer
 from repro.core.config import ScalaGraphConfig
-from repro.core.fastsim import resolve_cycle_engine, scatter_phase_fast
+from repro.core.fastsim import scatter_phase_fast
 from repro.core.profiling import NULL_PROFILER, Profiler
 from repro.errors import (
     ConfigurationError,
@@ -51,7 +50,8 @@ from repro.faults import FaultSchedule
 from repro.graph.csr import CSRGraph
 from repro.mapping import make_mapping
 from repro.noc.aggregation import AggregationPipeline, aggregation_geometry
-from repro.noc.fastmesh import make_mesh_network, resolve_engine
+from repro.noc.fastmesh import resolve_engine
+from repro.noc.mesh import MeshNetwork
 from repro.noc.packet import Packet
 from repro.noc.topology import MeshTopology
 
@@ -203,48 +203,35 @@ class CycleAccurateScalaGraph:
     ) -> CycleResult:
         """Simulate ``program`` over ``graph`` cycle by cycle.
 
-        Graceful engine degradation: when a *vectorized* engine (the
-        mesh NoC or the fastsim scatter phase) raises a
-        :class:`~repro.errors.SanitizerError` mid-run, the run is
-        retried once with both engines on reference and an
+        Graceful engine degradation: when the *vectorized* pair raises
+        a :class:`~repro.errors.SanitizerError` mid-run, the whole run
+        is retried once on the reference pair with an
         :class:`~repro.errors.EngineFallbackWarning` instead of killing
         the experiment (a run is a pure function of its inputs, so the
         retry is exact; an attached profiler accrues both attempts).
-        Disable via ``config.noc_engine_fallback=False``; an
-        all-reference failure always propagates.
+        A debugging session that wants the failure itself escalates the
+        warning to an error; the warning carries it as ``.error``.  A
+        reference-pair failure always propagates.
         """
-        engine = resolve_engine(self.config.noc_engine, self.topology)
-        cycle_engine = resolve_cycle_engine(
-            self.config.cycle_engine, self.topology
+        vectorized = (
+            resolve_engine(self.config.cycle_engine, self.topology)
+            == "vectorized"
         )
         try:
             return self._run(
-                program,
-                graph,
-                max_iterations,
-                max_cycles_per_phase,
-                engine,
-                cycle_engine,
+                program, graph, max_iterations, max_cycles_per_phase,
+                vectorized,
             )
         except SanitizerError as exc:
-            vectorized = [
-                f"{name}:vectorized"
-                for name, eng in (("noc", engine), ("cycle", cycle_engine))
-                if eng == "vectorized"
-            ]
-            if not vectorized or not self.config.noc_engine_fallback:
+            if not vectorized:
                 raise
             warnings.warn(
-                EngineFallbackWarning("+".join(vectorized), exc),
+                EngineFallbackWarning("cycle:vectorized", exc),
                 stacklevel=2,
             )
             return self._run(
-                program,
-                graph,
-                max_iterations,
-                max_cycles_per_phase,
-                "reference",
-                "reference",
+                program, graph, max_iterations, max_cycles_per_phase,
+                False,
             )
 
     def _run(
@@ -253,8 +240,7 @@ class CycleAccurateScalaGraph:
         graph: CSRGraph,
         max_iterations: Optional[int],
         max_cycles_per_phase: int,
-        engine: str,
-        cycle_engine: str = "reference",
+        vectorized: bool,
     ) -> CycleResult:
         ctx = ProgramContext(graph=graph)
         program.validate(ctx)
@@ -280,15 +266,15 @@ class CycleAccurateScalaGraph:
             # still be charged an Apply slot.
             touched_mask = np.zeros(graph.num_vertices, dtype=bool)
             with prof.timer("cycle_sim.scatter"):
-                if cycle_engine == "vectorized":
+                if vectorized:
                     cycles = scatter_phase_fast(
                         self, program, ctx, graph, active, props, vtemp,
-                        touched_mask, stats, max_cycles_per_phase, engine,
+                        touched_mask, stats, max_cycles_per_phase,
                     )
                 else:
                     cycles = self._scatter_phase(
                         program, ctx, graph, active, props, vtemp,
-                        touched_mask, stats, max_cycles_per_phase, engine,
+                        touched_mask, stats, max_cycles_per_phase,
                     )
             stats.scatter_cycles.append(cycles)
 
@@ -370,7 +356,6 @@ class CycleAccurateScalaGraph:
         touched_mask: np.ndarray,
         stats: CycleStats,
         max_cycles: int,
-        engine: str,
     ) -> int:
         cfg = self.config
         prof = self.profiler
@@ -432,11 +417,10 @@ class CycleAccurateScalaGraph:
             self.sanitizer.begin_epoch(
                 f"scatter[{len(stats.scatter_cycles)}]"
             )
-        network = make_mesh_network(
+        network = MeshNetwork(
             self.topology,
             buffer_depth=self.noc_buffer_depth,
             sanitizer=self.sanitizer,
-            engine=engine,
             faults=self.faults,
         )
         # One reusable timer object: entered every loop iteration, so it

@@ -8,8 +8,10 @@ fastmesh recipe (PR 3) to everything *around* the NoC step: dispatcher
 schedules, per-PE aggregation register arrays, out/SPD FIFOs, and
 PE-stall state live in struct-of-arrays NumPy buffers, and each cycle's
 dispatch -> RU egress -> SPD retire runs as whole-cycle batched array
-operations.  The mesh step itself is delegated to the engine selected
-by :attr:`~repro.core.config.ScalaGraphConfig.noc_engine`, unchanged.
+operations.  The mesh step itself runs on a lean
+:class:`~repro.noc.fastmesh.FastMeshNetwork` built per phase, so the
+engine is always the vectorised *pair*: struct-of-arrays driver over
+struct-of-arrays mesh.
 
 The engine is **behaviourally identical** to the reference, not merely
 statistically similar: every per-cycle decision (dispatch order, offer
@@ -31,10 +33,11 @@ possible without simulating objects:
   fancy-indexed pass (see
   :class:`~repro.noc.aggregation.BatchedAggregationArray`).
 
-Selection follows the ``noc_engine`` pattern:
-``config.cycle_engine='auto'`` picks the vectorised engine at or above
-:data:`AUTO_CYCLE_ENGINE_MIN_NODES` nodes, and a SanitizerError raised
-mid-run falls back to the reference engines once (see
+``config.cycle_engine`` picks the pair (``'auto'`` resolves through
+:func:`~repro.noc.fastmesh.resolve_engine`: vectorised at or above
+:data:`~repro.noc.fastmesh.AUTO_VECTORIZE_MIN_NODES` nodes), and a
+SanitizerError raised mid-run reruns the whole run once on the
+reference pair (see
 :meth:`~repro.core.cycle_sim.CycleAccurateScalaGraph.run`).
 """
 
@@ -45,31 +48,20 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.profiling import NULL_PROFILER
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.noc.aggregation import (
     BatchedAggregationArray,
     aggregation_geometry,
     run_ranks,
 )
-from repro.noc.fastmesh import make_mesh_network
-from repro.noc.topology import MeshTopology
+from repro.noc.fastmesh import FastMeshNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.algorithms.base import ProgramContext, VertexProgram
     from repro.core.cycle_sim import CycleAccurateScalaGraph, CycleStats
     from repro.graph.csr import CSRGraph
 
-__all__ = [
-    "AUTO_CYCLE_ENGINE_MIN_NODES",
-    "dispatch_schedule",
-    "resolve_cycle_engine",
-    "scatter_phase_fast",
-]
-
-#: Mesh size at which ``cycle_engine='auto'`` switches to the
-#: vectorised engine.  Same threshold as the mesh engines: below it the
-#: fixed cost of whole-array operations outweighs the loop savings.
-AUTO_CYCLE_ENGINE_MIN_NODES = 64
+__all__ = ["dispatch_schedule", "scatter_phase_fast"]
 
 #: Shared empty PE-index array for scalar-total fast paths.
 _EMPTY_PES = np.zeros(0, dtype=np.int64)
@@ -98,24 +90,6 @@ BUFFER_DTYPES = {
     "head": "int64",
     "count": "int64",
 }
-
-
-def resolve_cycle_engine(engine: str, topology: MeshTopology) -> str:
-    """Resolve a scatter-engine name (``auto``/``reference``/
-    ``vectorized``) to a concrete one, choosing by mesh size for
-    ``auto``."""
-    name = engine.lower()
-    if name == "auto":
-        return (
-            "vectorized"
-            if topology.num_nodes >= AUTO_CYCLE_ENGINE_MIN_NODES
-            else "reference"
-        )
-    if name not in ("reference", "vectorized"):
-        raise ConfigurationError(
-            f"unknown cycle_engine {engine!r} (auto/reference/vectorized)"
-        )
-    return name
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +361,6 @@ def scatter_phase_fast(
     touched_mask: np.ndarray,
     stats: "CycleStats",
     max_cycles: int,
-    noc_engine: str,
 ) -> int:
     """Drop-in replacement for the reference ``_scatter_phase`` —
     identical stats and properties, whole-cycle array operations."""
@@ -434,29 +407,20 @@ def scatter_phase_fast(
     spd = _PEFifoArray(num_pes)
     if sanitizer is not None:
         sanitizer.begin_epoch(f"scatter[{len(stats.scatter_cycles)}]")
-    network = make_mesh_network(
+    network = FastMeshNetwork(
         topology,
         buffer_depth=sim.noc_buffer_depth,
         sanitizer=sanitizer,
-        engine=noc_engine,
         faults=faults,
         # This engine reads deliveries via delivered_arrays and never
-        # touches Packet objects; skip materialising them (fastmesh
-        # only — the reference mesh ignores the flag).
+        # touches Packet objects; skip materialising them.
         lean_packets=True,
     )
     noc_timer = (sim.profiler or NULL_PROFILER).block_timer(
         "cycle_sim.noc_step"
     )
-    # Array-form delivery drain (fastmesh only; the reference mesh
-    # falls back to reading Packet attributes).
-    delivered_arrays = getattr(network, "delivered_arrays", None)
-    delivered_count = (
-        network.delivered_count
-        if delivered_arrays is not None
-        else lambda: len(network.delivered)
-    )
-    fast_net = delivered_arrays is not None
+    delivered_count = network.delivered_count
+    delivered_arrays = network.delivered_arrays
 
     # Vertex-home lookup table: one mapping call up front turns the two
     # per-cycle ``mapping.home`` calls into plain array gathers.
@@ -630,34 +594,10 @@ def scatter_phase_fast(
             network.step()
         n_landed = delivered_count() - before
         if n_landed:
-            if delivered_arrays is not None:
-                # Each router ejects at most one packet per cycle, so
-                # the landed destinations are unique.
-                spd.append(*delivered_arrays(before), assume_unique=True)
-            else:
-                landed = network.delivered[before:]
-                spd.append(
-                    np.fromiter(
-                        (p.dst for p in landed),
-                        dtype=np.int64,
-                        count=n_landed,
-                    ),
-                    np.fromiter(
-                        (p.vertex for p in landed),
-                        dtype=np.int64,
-                        count=n_landed,
-                    ),
-                    np.fromiter(
-                        (p.value for p in landed),
-                        dtype=np.float64,
-                        count=n_landed,
-                    ),
-                )
-        occ_now = (
-            network.last_occupancy
-            if fast_net
-            else network.total_occupancy()
-        )
+            # Each router ejects at most one packet per cycle, so the
+            # landed destinations are unique.
+            spd.append(*delivered_arrays(before), assume_unique=True)
+        occ_now = network.last_occupancy
         if n_landed or occ_now:
             progressed = True
 
@@ -735,32 +675,8 @@ def scatter_phase_fast(
             network.step()
         n_landed = delivered_count() - before
         if n_landed:
-            if delivered_arrays is not None:
-                spd.append(*delivered_arrays(before), assume_unique=True)
-            else:
-                landed = network.delivered[before:]
-                spd.append(
-                    np.fromiter(
-                        (p.dst for p in landed),
-                        dtype=np.int64,
-                        count=n_landed,
-                    ),
-                    np.fromiter(
-                        (p.vertex for p in landed),
-                        dtype=np.int64,
-                        count=n_landed,
-                    ),
-                    np.fromiter(
-                        (p.value for p in landed),
-                        dtype=np.float64,
-                        count=n_landed,
-                    ),
-                )
-        occ_now = (
-            network.last_occupancy
-            if fast_net
-            else network.total_occupancy()
-        )
+            spd.append(*delivered_arrays(before), assume_unique=True)
+        occ_now = network.last_occupancy
         if n_landed or occ_now:
             progressed = True
 

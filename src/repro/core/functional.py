@@ -167,7 +167,7 @@ class FunctionalScalaGraph:
 
         # Route surviving updates; local ones bypass the network.
         network = make_mesh_network(
-            self.topology, buffer_depth=8, engine=self.config.noc_engine
+            self.topology, buffer_depth=8, engine=self.config.cycle_engine
         )
         reduce_ufunc = program.reduce_ufunc
         injected = 0

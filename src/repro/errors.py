@@ -150,17 +150,20 @@ class CircuitOpenError(ServiceError):
 
 
 class EngineFallbackWarning(UserWarning):
-    """A vectorized engine tripped a sanitizer invariant and the run
-    was transparently retried on the reference engine(s).
+    """The vectorized engine pair tripped a sanitizer invariant and the
+    run was transparently retried on the reference pair.
 
-    Structured so harnesses can filter on the failed engine and the
-    violated invariant without parsing prose.
+    The retry is always on; a debugging session that wants the original
+    failure escalates this warning to an error
+    (``warnings.simplefilter("error", EngineFallbackWarning)``) and
+    reads the :class:`SanitizerError` from :attr:`error`.  Structured
+    so harnesses can filter on the failed engine and the violated
+    invariant without parsing prose.
 
     Attributes:
-        engine: the engine(s) that were active when the invariant
-            tripped (e.g. ``vectorized``, or
-            ``noc:vectorized+cycle:vectorized`` from the cycle
-            simulator's dual-engine selection).
+        engine: the engine that was active when the invariant tripped
+            (``cycle:vectorized`` from the cycle simulator's
+            ``cycle_engine`` switch).
         error: the :class:`SanitizerError` that triggered the fallback.
     """
 
@@ -170,7 +173,7 @@ class EngineFallbackWarning(UserWarning):
         super().__init__(
             f"engine {engine!r} violated sanitizer invariant "
             f"{error.invariant!r} (cycle {error.cycle}); "
-            "falling back to the reference engine(s) for this run"
+            "falling back to the reference engine pair for this run"
         )
 
 

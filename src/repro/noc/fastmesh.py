@@ -32,10 +32,14 @@ landing) instead of spinning one cycle at a time.  The jump is
 stats-neutral — idle cycles change nothing but the counter — so
 fast-forwarded and stepped runs report identical ``MeshStats``.
 
-Engine selection is wired through
-:attr:`repro.core.config.ScalaGraphConfig.noc_engine` and the
-:func:`make_mesh_network` factory; ``"auto"`` picks the vectorised
-engine for meshes of :data:`AUTO_VECTORIZE_MIN_NODES` nodes or more.
+Standalone mesh studies pick an engine through the
+:func:`make_mesh_network` factory.  The cycle-level simulators pick a
+whole engine pair through
+:attr:`repro.core.config.ScalaGraphConfig.cycle_engine`: the vectorised
+scatter phase of :mod:`repro.core.fastsim` builds its own lean
+:class:`FastMeshNetwork`.  Either way :func:`resolve_engine` turns
+``"auto"`` into the vectorised engine for meshes of
+:data:`AUTO_VECTORIZE_MIN_NODES` nodes or more.
 """
 
 from __future__ import annotations
@@ -72,9 +76,10 @@ __all__ = [
     "resolve_engine",
 ]
 
-#: ``noc_engine="auto"`` selects the vectorised engine for meshes with at
-#: least this many nodes.  Below it the reference simulator's per-object
-#: Python loops are cheap enough that NumPy dispatch overhead dominates.
+#: ``"auto"`` selects the vectorised engine (mesh, or the whole
+#: cycle-simulator pair) for meshes with at least this many nodes.
+#: Below it the reference simulator's per-object Python loops are cheap
+#: enough that NumPy dispatch overhead dominates.
 AUTO_VECTORIZE_MIN_NODES = 64
 
 #: Either cycle-level mesh engine (they are behaviourally identical).
@@ -1271,7 +1276,7 @@ def resolve_engine(engine: str, topology: MeshTopology) -> str:
     if name in ("reference", "vectorized"):
         return name
     raise ConfigurationError(
-        f"unknown NoC engine {engine!r} (auto/reference/vectorized)"
+        f"unknown engine {engine!r} (auto/reference/vectorized)"
     )
 
 
@@ -1281,7 +1286,6 @@ def make_mesh_network(
     sanitizer: Optional["SimSanitizer"] = None,
     engine: str = "auto",
     faults: Optional["FaultSchedule"] = None,
-    lean_packets: bool = False,
 ) -> MeshEngine:
     """Build a cycle-level mesh simulator.
 
@@ -1298,10 +1302,7 @@ def make_mesh_network(
             buffer_depth=buffer_depth,
             sanitizer=sanitizer,
             faults=faults,
-            lean_packets=lean_packets,
         )
-    # The reference engine always materialises packets; lean_packets is
-    # a FastMeshNetwork-only optimisation and is ignored here.
     return MeshNetwork(
         topology, buffer_depth=buffer_depth, sanitizer=sanitizer,
         faults=faults,

@@ -20,8 +20,6 @@ import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
-
 if TYPE_CHECKING:  # import-free at runtime: the hooks are duck-typed
     from repro.analysis.sanitizer import SimSanitizer
     from repro.faults.schedule import FaultSchedule
@@ -155,32 +153,6 @@ class MeshNetwork:
         router.accept(LOCAL, packet)
         self.stats.injected += 1
         return True
-
-    def inject_batch(
-        self,
-        srcs: np.ndarray,
-        dsts: np.ndarray,
-        vertices: np.ndarray,
-        values: np.ndarray,
-        assume_unique: bool = False,
-        checked: bool = True,
-    ) -> np.ndarray:
-        """Inject one packet per entry, in argument order; returns the
-        per-entry acceptance mask.  Loop form of
-        :meth:`~repro.noc.fastmesh.FastMeshNetwork.inject_batch` so both
-        engines expose the same batched surface (``assume_unique`` and
-        ``checked`` are pure hints; the loop form never needs them)."""
-        ok = np.zeros(len(srcs), dtype=bool)
-        for i in range(len(srcs)):
-            ok[i] = self.inject(
-                Packet(
-                    src=int(srcs[i]),
-                    dst=int(dsts[i]),
-                    vertex=int(vertices[i]),
-                    value=float(values[i]),
-                )
-            )
-        return ok
 
     # ------------------------------------------------------------------
     # Simulation

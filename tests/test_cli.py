@@ -183,6 +183,31 @@ class TestBench:
         summary = json.loads(out_file.read_text())
         assert summary["schema"] == "repro-bench/1"
 
+    def test_disagreeing_probe_fails_after_writing(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.cli as cli
+
+        real = cli._probe_cycle_engines
+
+        def disagreeing(*args, **kwargs):
+            probe = real(*args, **kwargs)
+            probe["cycles_agree"] = False
+            return probe
+
+        monkeypatch.setattr(cli, "_probe_cycle_engines", disagreeing)
+        out_file = tmp_path / "bench.json"
+        code, text = run_cli(
+            *self.BASE,
+            "--cache-dir", str(tmp_path / "cache"),
+            "--output", str(out_file),
+            "--json",
+        )
+        assert code == 1
+        assert json.loads(text) == json.loads(out_file.read_text())
+        summary = json.loads(out_file.read_text())
+        assert summary["cycle_engine_probe"]["cycles_agree"] is False
+
 
 class TestParser:
     def test_requires_command(self):

@@ -10,7 +10,6 @@ from repro.experiments import (
     normalize,
     run_matrix,
 )
-from repro.experiments.runner import run_single
 
 
 class TestRegistry:
@@ -64,13 +63,6 @@ class TestRunner:
             "ScalaGraph-512", "GraphDynS-128"
         )
         assert by_algo["pagerank"] == pytest.approx(ratio)
-
-    def test_run_single(self):
-        report = run_single(
-            "ScalaGraph-512", "PK", "sssp", scale_shift=-5
-        )
-        assert report.algorithm == "sssp"
-        assert report.graph_name == "PK"
 
     def test_weighted_algorithms_get_weights(self):
         from repro.experiments.runner import load_benchmark_graph

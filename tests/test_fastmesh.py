@@ -181,7 +181,7 @@ class TestFastForward:
 
 
 class TestCycleSimEngineParity:
-    """The full cycle-accurate simulator is engine-agnostic."""
+    """The full cycle-accurate simulator agrees on either engine pair."""
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -199,7 +199,7 @@ class TestCycleSimEngineParity:
                     pe_rows=4,
                     pe_cols=4,
                     mapping=mapping,
-                    noc_engine=engine,
+                    cycle_engine=engine,
                 ),
                 sanitize=True,
             )
@@ -224,7 +224,7 @@ class TestCycleSimEngineParity:
         for engine in ("reference", "vectorized"):
             sim = CycleAccurateScalaGraph(
                 ScalaGraphConfig(
-                    num_tiles=1, pe_rows=4, pe_cols=4, noc_engine=engine
+                    num_tiles=1, pe_rows=4, pe_cols=4, cycle_engine=engine
                 ),
                 sanitize=True,
             )
@@ -316,9 +316,9 @@ class TestEngineSelection:
         )
 
     def test_config_validates_engine(self):
-        ScalaGraphConfig(noc_engine="vectorized")  # valid
+        ScalaGraphConfig(cycle_engine="vectorized")  # valid
         with pytest.raises(ConfigurationError):
-            ScalaGraphConfig(noc_engine="warp")
+            ScalaGraphConfig(cycle_engine="warp")
 
     def test_out_of_mesh_nodes_rejected(self):
         net = FastMeshNetwork(MeshTopology(2, 2))

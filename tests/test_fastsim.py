@@ -3,7 +3,8 @@
 The contract under test (see ``repro/core/fastsim.py``): with
 ``cycle_engine='vectorized'`` the cycle-accurate simulator produces
 **identical** stats (integer for integer) and **identical** computed
-properties (bit for bit) to the reference ``_scatter_phase``, for any
+properties (bit for bit) to the reference pair (``_scatter_phase`` over
+``MeshNetwork``), for any
 mapping x register count x algorithm x fault schedule, with the
 SimSanitizer armed on both paths and warnings escalated to errors.
 """
@@ -16,10 +17,6 @@ import pytest
 from repro.algorithms import make_algorithm
 from repro.core.config import ScalaGraphConfig
 from repro.core.cycle_sim import CycleAccurateScalaGraph
-from repro.core.fastsim import (
-    AUTO_CYCLE_ENGINE_MIN_NODES,
-    resolve_cycle_engine,
-)
 from repro.errors import (
     ConfigurationError,
     EngineFallbackWarning,
@@ -33,8 +30,12 @@ from repro.faults.schedule import (
     PEStallWindow,
 )
 from repro.graph.generators import rmat_graph, star_graph
-from repro.noc.fastmesh import FastMeshNetwork
-from repro.noc.mesh import EAST, SOUTH
+from repro.noc.fastmesh import (
+    AUTO_VECTORIZE_MIN_NODES,
+    FastMeshNetwork,
+    resolve_engine,
+)
+from repro.noc.mesh import EAST, SOUTH, MeshNetwork
 from repro.noc.packet import Packet
 from repro.noc.topology import MeshTopology
 
@@ -106,22 +107,24 @@ def _assert_identical(case_kwargs):
 
 
 class TestResolveCycleEngine:
+    """``cycle_engine`` resolves through the one ``resolve_engine``."""
+
     def test_auto_small_mesh_is_reference(self):
-        assert resolve_cycle_engine("auto", MeshTopology(4, 4)) == "reference"
+        assert resolve_engine("auto", MeshTopology(4, 4)) == "reference"
 
     def test_auto_large_mesh_is_vectorized(self):
         topo = MeshTopology(8, 8)
-        assert topo.num_nodes >= AUTO_CYCLE_ENGINE_MIN_NODES
-        assert resolve_cycle_engine("auto", topo) == "vectorized"
+        assert topo.num_nodes >= AUTO_VECTORIZE_MIN_NODES
+        assert resolve_engine("auto", topo) == "vectorized"
 
     def test_explicit_names_pass_through(self):
         topo = MeshTopology(4, 4)
-        assert resolve_cycle_engine("reference", topo) == "reference"
-        assert resolve_cycle_engine("VECTORIZED", topo) == "vectorized"
+        assert resolve_engine("reference", topo) == "reference"
+        assert resolve_engine("VECTORIZED", topo) == "vectorized"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError):
-            resolve_cycle_engine("turbo", MeshTopology(4, 4))
+            resolve_engine("turbo", MeshTopology(4, 4))
 
     def test_config_knob_rejected_value(self):
         with pytest.raises(ConfigurationError):
@@ -306,17 +309,52 @@ class TestCycleEngineFallback:
         assert _fingerprint(result) == _fingerprint(ref)
         np.testing.assert_array_equal(result.properties, ref.properties)
 
-    def test_fallback_disabled_raises(self, broken_vectorized):
+    def test_escalated_warning_carries_the_error(self, broken_vectorized):
         config = ScalaGraphConfig(
-            num_tiles=1,
-            pe_rows=8,
-            pe_cols=8,
-            cycle_engine="vectorized",
-            noc_engine_fallback=False,
+            num_tiles=1, pe_rows=8, pe_cols=8, cycle_engine="vectorized"
         )
         sim = CycleAccurateScalaGraph(config, sanitize=True)
-        with pytest.raises(SanitizerError):
-            sim.run(make_algorithm("bfs"), GRAPH)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", EngineFallbackWarning)
+            with pytest.raises(EngineFallbackWarning) as record:
+                sim.run(make_algorithm("bfs"), GRAPH)
+        assert isinstance(record.value.error, SanitizerError)
+        assert record.value.error.invariant == "test-invariant"
+
+
+class TestEnginePairIsAtomic:
+    """``cycle_engine`` picks the mesh together with the scatter phase,
+    on either side of the ``auto`` threshold."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = {"reference": 0, "vectorized": 0}
+        for name, cls in (
+            ("reference", MeshNetwork),
+            ("vectorized", FastMeshNetwork),
+        ):
+            init = cls.__init__
+
+            def counting(self, *args, _name=name, _init=init, **kwargs):
+                counts[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return counts
+
+    def test_vectorized_below_threshold_builds_no_reference_mesh(
+        self, built
+    ):
+        assert MeshTopology(4, 4).num_nodes < AUTO_VECTORIZE_MIN_NODES
+        _run("vectorized", rows=4, cols=4, algorithm="bfs")
+        assert built["reference"] == 0
+        assert built["vectorized"] > 0
+
+    def test_reference_at_threshold_builds_no_vectorized_mesh(self, built):
+        assert MeshTopology(8, 8).num_nodes >= AUTO_VECTORIZE_MIN_NODES
+        _run("reference", rows=8, cols=8, algorithm="bfs")
+        assert built["vectorized"] == 0
+        assert built["reference"] > 0
 
 
 class TestInjectBatch:

@@ -2,7 +2,6 @@
 engine equivalence, detour routing, resource derating, cycle-sim
 integration, and graceful engine fallback."""
 
-import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -308,7 +307,7 @@ class TestCycleSimFaults:
 
     def _run(self, engine):
         config = ScalaGraphConfig(
-            num_tiles=1, pe_rows=4, pe_cols=4, noc_engine=engine
+            num_tiles=1, pe_rows=4, pe_cols=4, cycle_engine=engine
         )
         topology = MeshTopology(4, 4)
         sim = CycleAccurateScalaGraph(
@@ -358,14 +357,10 @@ class TestCycleSimFaults:
 
 
 class TestEngineFallback:
-    def _sim(self, **config_kwargs):
+    def _sim(self):
         return CycleAccurateScalaGraph(
             ScalaGraphConfig(
-                num_tiles=1,
-                pe_rows=4,
-                pe_cols=4,
-                noc_engine="vectorized",
-                **config_kwargs,
+                num_tiles=1, pe_rows=4, pe_cols=4, cycle_engine="vectorized"
             ),
             sanitize=True,
         )
@@ -389,7 +384,7 @@ class TestEngineFallback:
         assert "vectorized" in str(record[0].message)
         reference = CycleAccurateScalaGraph(
             ScalaGraphConfig(
-                num_tiles=1, pe_rows=4, pe_cols=4, noc_engine="reference"
+                num_tiles=1, pe_rows=4, pe_cols=4, cycle_engine="reference"
             ),
             sanitize=True,
         ).run(BFS(), graph, max_iterations=4)
@@ -397,14 +392,6 @@ class TestEngineFallback:
         np.testing.assert_array_equal(
             result.properties, reference.properties
         )
-
-    def test_fallback_disabled_raises(self, broken_vectorized):
-        graph = rmat_graph(scale=6, edge_factor=8, seed=3)
-        sim = self._sim(noc_engine_fallback=False)
-        with pytest.raises(SanitizerError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", EngineFallbackWarning)
-                sim.run(BFS(), graph, max_iterations=4)
 
     def test_standalone_fault_run_unaffected_by_fallback(self):
         """make_mesh_network users outside the cycle sim see no change."""

@@ -1,4 +1,4 @@
-"""Reference vs vectorized scatter-phase engine speed (PR 9 artifact).
+"""Reference vs vectorized scatter-phase engine speed.
 
 Runs the *end-to-end* cycle-accurate simulator — dispatcher queues,
 aggregation arrays, NoC, SPD retire — twice over an identical R-MAT
@@ -12,10 +12,11 @@ kept per engine, which is markedly more stable than back-to-back runs
 on a noisy machine.  Before any timing is trusted the two engines must
 agree stat-for-stat and property-for-property.
 
-The machine-readable summary is written twice: to
+The machine-readable summary is written to
 ``benchmarks/results/bench_cycle_engine_speed.json`` like every other
-bench, and to the repo-root ``BENCH_PR9.json`` consumed by the perf
-trajectory and the CI perf-smoke job.  The committed ``BENCH_PR6.json``
+bench; the CI perf-smoke job gates that file.  The repo-root
+``BENCH_PR9.json`` is a frozen full-scale artifact in the same schema,
+never rewritten by this bench.  The committed ``BENCH_PR6.json``
 is kept as the frozen PR 6 baseline: when present, the 16x16 and 32x32
 vectorized throughputs are compared against it and the ratios recorded
 (``speedup_vs_pr6``) — measured on the bench host, so cross-machine
@@ -29,8 +30,8 @@ Knobs (environment variables):
 * ``REPRO_CYCLE_BENCH_REPEATS`` — interleaved timing rounds, best kept
   (default 2).
 * ``REPRO_CYCLE_BENCH_MIN_SPEEDUP`` — hard floor on the 16x16 speedup
-  (default 1.0: the vectorized engine must never lose; the committed
-  repo-root artifact is generated at the defaults, where it clears 5x).
+  (default 1.0: the vectorized engine must never lose; the frozen
+  repo-root artifact was generated at the defaults, where it cleared 5x).
 * ``REPRO_CYCLE_BENCH_LARGE`` — ``RxC`` mesh for the vectorized-only
   scaling run (default ``32x32``; empty string skips it).  Timed with
   the same interleaved best-of-N discipline as the 16x16 pair.
@@ -57,7 +58,6 @@ from repro.core.config import ScalaGraphConfig
 from repro.core.cycle_sim import CycleAccurateScalaGraph
 from repro.graph.generators import rmat_graph
 
-BENCH_PR9 = Path(__file__).resolve().parent.parent / "BENCH_PR9.json"
 #: Frozen PR 6 numbers (committed artifact) used as the comparison
 #: baseline; never rewritten by this bench.
 BENCH_PR6 = Path(__file__).resolve().parent.parent / "BENCH_PR6.json"
@@ -260,6 +260,3 @@ def test_cycle_engine_speed():
 
     emit("bench_cycle_engine_speed", "\n".join(lines))
     emit_json("bench_cycle_engine_speed", payload)
-    BENCH_PR9.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )

@@ -1,12 +1,13 @@
-"""Reference vs vectorized mesh-NoC engine speed (PR 3 perf artifact).
+"""Reference vs vectorized mesh-NoC engine speed.
 
 Drains an identical uniform-random workload through both cycle-level
 mesh engines at 4x4 / 8x8 / 16x16 and reports cycles/sec for each,
 cross-checking that the engines agree packet-for-packet before trusting
-the timing.  The machine-readable summary is written twice: to
+the timing.  The machine-readable summary is written to
 ``benchmarks/results/bench_noc_engine_speed.json`` like every other
-bench, and to the repo-root ``BENCH_PR3.json`` consumed by the perf
-trajectory and the CI perf-smoke job.
+bench; the CI perf-smoke job gates that file.  The repo-root
+``BENCH_PR3.json`` is a frozen full-size artifact in the same schema,
+never rewritten by this bench.
 
 Knobs (environment variables):
 
@@ -24,10 +25,8 @@ No external benchmarking dependency: timing is a plain
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from conftest import emit, emit_json
 
@@ -38,8 +37,6 @@ from repro.noc import (
     Packet,
 )
 from repro.noc.patterns import generate
-
-BENCH_PR3 = Path(__file__).resolve().parent.parent / "BENCH_PR3.json"
 
 _ENGINES = {"reference": MeshNetwork, "vectorized": FastMeshNetwork}
 
@@ -147,6 +144,3 @@ def test_noc_engine_speed():
     }
     emit("bench_noc_engine_speed", "\n".join(lines))
     emit_json("bench_noc_engine_speed", payload)
-    BENCH_PR3.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )

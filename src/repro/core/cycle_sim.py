@@ -7,7 +7,7 @@ cycle**: every cycle each row's dispatching unit issues one line of edge
 workloads (degree-aware packing, Section IV-C), every GU processes one
 workload, every RU offers its update to its aggregation pipeline and
 injects at most one surviving update into the mesh (Section IV-B), the
-routers move flits under XY routing with backpressure, and every SPD
+routers move packets under XY routing with backpressure, and every SPD
 slice retires one Reduce per cycle.
 
 It exists to validate the analytic timing model: tests check that on
@@ -21,8 +21,7 @@ the reference :class:`~repro.noc.mesh.MeshNetwork` — the auditable
 golden model — or the behaviourally identical
 :func:`~repro.core.fastsim.scatter_phase_fast` over a lean
 :class:`~repro.noc.fastmesh.FastMeshNetwork` (chosen by ``auto`` at
-8x8 and beyond).  Fully idle cycles fast-forward to the mesh's next
-scheduled event under either pair.
+8x8 and beyond).
 """
 
 from __future__ import annotations
@@ -557,21 +556,8 @@ class CycleAccurateScalaGraph:
                 and not any(pipelines[p].occupancy() for p in pipelines)
                 and not any(spd_fifos)
                 and not network.total_occupancy()
-                and not network.in_flight_packets()
             ):
                 break
-
-            # Idle-cycle fast-forward: nothing moved this cycle and the
-            # mesh is quiescent, so jump straight to its next scheduled
-            # event (an in-flight landing) instead of spinning.  The
-            # jump is stats-neutral; idle cycles only tick counters.  A
-            # stalled PE holding work is *not* idle — fast-forwarding
-            # would skip the rest of its stall window, so hold the jump
-            # until the window has visibly passed cycle by cycle.
-            if not progressed and not pe_stall_hit:
-                target = network.next_event_cycle()
-                if target is not None and target > network.cycle:
-                    cycle += network.fast_forward(target)
 
         stats.updates_processed += int(src.size)
         stats.noc_hops += network.stats.total_hops
@@ -588,7 +574,6 @@ class CycleAccurateScalaGraph:
                 + sum(len(f) for f in spd_fifos)
                 + sum(p.occupancy() for p in pipelines.values())
                 + network.total_occupancy()
-                + network.in_flight_packets()
             )
             self.sanitizer.check_conservation(
                 injected=int(src.size),

@@ -16,9 +16,9 @@ struct-of-arrays mesh.
 The engine is **behaviourally identical** to the reference, not merely
 statistically similar: every per-cycle decision (dispatch order, offer
 order per register column, eviction order, egress/injection order per
-PE, SPD retire order, stall handling, idle fast-forwarding) reproduces
-the reference exactly, so stats are equal integer for integer and the
-computed properties bit for bit.  Two structural facts make this
+PE, SPD retire order, stall handling) reproduces the reference
+exactly, so stats are equal integer for integer and the computed
+properties bit for bit.  Two structural facts make this
 possible without simulating objects:
 
 * **Dispatch is unconditional** — dispatchers never experience
@@ -646,16 +646,8 @@ def scatter_phase_fast(
             and (agg is None or agg.total_occupancy() == 0)
             and spd.total() == 0
             and not occ_now
-            and not network.in_flight_packets()
         ):
             break
-
-        # Idle-cycle fast-forward (same conditions as the reference: a
-        # stalled PE holding work pins the clock to real cycles).
-        if not progressed and not pe_stall_hit:
-            target = network.next_event_cycle()
-            if target is not None and target > network.cycle:
-                cycle += network.fast_forward(target)
 
     # ------------------------------------------------------------------
     # Drain mode: dispatch and egress are provably inert, so each cycle
@@ -711,35 +703,24 @@ def scatter_phase_fast(
             raise SimulationError(
                 f"scatter phase did not drain in {max_cycles} cycles"
             )
-        if (
-            not progressed
-            and spd.total() == 0
-            and not occ_now
-            and not network.in_flight_packets()
-        ):
+        if not progressed and spd.total() == 0 and not occ_now:
             break
 
-        if not progressed and not pe_stall_hit:
-            # Idle gap: jump to the mesh's next scheduled event.
-            target = network.next_event_cycle()
-            if target is not None and target > network.cycle:
-                cycle += network.fast_forward(target)
-        elif (
+        if (
             pe_stall_hit
             and faults is not None
             and retire_pes.size == 0
             and occ_now == 0
-            and not network.in_flight_packets()
-            and network.next_event_cycle() is None
         ):
             # Stall-window fast-forward: the mesh is fully inert (no
-            # buffered, in-flight, or pending packets) and every
-            # SPD-holding PE sits in a stall window.  All fault masks
-            # are constant until the next window boundary, so each
-            # intervening cycle would replay exactly this one: no
-            # retire, one degraded cycle (stepping an *empty* mesh can
-            # never raise fault_seen, so the mesh's own degraded count
-            # cannot move).  Jump straight to the boundary.
+            # buffered packets, and this engine never schedules
+            # injections) and every SPD-holding PE sits in a stall
+            # window.  All fault masks are constant until the next
+            # window boundary, so each intervening cycle would replay
+            # exactly this one: no retire, one degraded cycle (stepping
+            # an *empty* mesh can never raise fault_seen, so the mesh's
+            # own degraded count cannot move).  Jump straight to the
+            # boundary.
             boundary = faults.next_boundary_cycle(cycle - 1)
             if boundary is not None and boundary > cycle:
                 skipped = boundary - cycle
@@ -762,7 +743,6 @@ def scatter_phase_fast(
             + spd.total()
             + (agg.total_occupancy() if agg is not None else 0)
             + network.total_occupancy()
-            + network.in_flight_packets()
         )
         sanitizer.check_conservation(
             injected=total_edges,

@@ -8,8 +8,8 @@ This module provides :class:`FastMeshNetwork`, a drop-in engine that
 keeps **all** router state in a handful of NumPy buffers —
 
 * ``(nodes, 5-ports, depth)`` FIFO ring buffers of packet indices,
-* ``(nodes, 5)`` head/occupancy/round-robin/link-busy matrices,
-* flat per-packet ``dst``/``flits``/``injected_cycle`` arrays —
+* ``(nodes, 5)`` head/occupancy/round-robin matrices,
+* flat per-packet ``dst``/``injected_cycle`` arrays —
 
 and advances a whole cycle with batched array operations: XY route
 computation, switch allocation with the reference's deterministic
@@ -19,16 +19,15 @@ round-robin priority, credit backpressure, and link traversal.
 and cycle-for-cycle identical to the reference simulator: identical
 :class:`~repro.noc.mesh.MeshStats` (cycles, injected, delivered, hops,
 latency, peak occupancy, stalled moves) and identical delivery order,
-for any workload — including multi-flit packets, deferred injections,
-and single-entry buffers.  ``tests/test_fastmesh.py`` enforces this
-differentially across mesh sizes, traffic patterns, and the full
-cycle-accurate simulator; treat any divergence as a bug in this module,
+for any workload — including deferred injections and single-entry
+buffers.  ``tests/test_fastmesh.py`` enforces this differentially
+across mesh sizes, traffic patterns, and the full cycle-accurate
+simulator; treat any divergence as a bug in this module,
 never as acceptable drift.
 
 Both engines also support an *idle-cycle fast-forward*: when every FIFO
-is empty and no link is busy, :meth:`run_until_drained` jumps the cycle
-counter to the next scheduled event (pending injection or in-flight
-landing) instead of spinning one cycle at a time.  The jump is
+is empty, :meth:`run_until_drained` jumps the cycle counter to the next
+pending injection instead of spinning one cycle at a time.  The jump is
 stats-neutral — idle cycles change nothing but the counter — so
 fast-forwarded and stepped runs report identical ``MeshStats``.
 
@@ -122,6 +121,23 @@ for _c in range(6**NUM_PORTS):
             _MASK_LUT[_c, _d - 1] |= 1 << _i
 del _c, _i, _d
 
+
+def _xy_ports(row, col, dst_row, dst_col):
+    """Dimension-order (X then Y) output port from ``(row, col)`` toward
+    ``(dst_row, dst_col)``; broadcasts like ``np.where``."""
+    return np.where(
+        col < dst_col,
+        EAST,
+        np.where(
+            col > dst_col,
+            WEST,
+            np.where(
+                row < dst_row, SOUTH, np.where(row > dst_row, NORTH, LOCAL)
+            ),
+        ),
+    )
+
+
 #: Engine-twin declaration consumed by the whole-program analyzer
 #: (:mod:`repro.analysis.project`).  SIM601 audits that this module and
 #: the reference mesh consume the same config fields, emit/read the
@@ -143,9 +159,7 @@ BUFFER_DTYPES = {
     "_head": "int64",
     "_count": "int64",
     "_rr": "int64",
-    "_link_busy": "int64",
     "_pkt_dst": "int64",
-    "_pkt_flits": "int64",
     "_pkt_injected": "int64",
     "_pkt_vertex": "int64",
     "_pkt_value": "float64",
@@ -231,21 +245,11 @@ class FastMeshNetwork:
         self._count = np.zeros((n, NUM_PORTS), dtype=np.int64)
         #: Round-robin pointer per (node, output port).
         self._rr = np.zeros((n, NUM_PORTS), dtype=np.int64)
-        #: Remaining busy cycles per (node, output port) — multi-flit
-        #: serialisation (mirrors the reference's ``_link_busy`` dict).
-        self._link_busy = np.zeros((n, NUM_PORTS), dtype=np.int64)
-        #: True once any packet with ``flits > 1`` was registered.
-        #: ``_link_busy`` only ever becomes non-zero through such
-        #: packets, so while this stays False the busy decrement, the
-        #: grant busy-check, and the serialisation branches are skipped
-        #: wholesale (the dominant single-flit workload).
-        self._has_multiflit = False
 
         # --- packet registry (None entries = lean, array-only packets) -
         self._pkts: List[Optional[Packet]] = []
         cap = 1024
         self._pkt_dst = np.zeros(cap, dtype=np.int64)
-        self._pkt_flits = np.ones(cap, dtype=np.int64)
         self._pkt_injected = np.zeros(cap, dtype=np.int64)
         self._pkt_vertex = np.zeros(cap, dtype=np.int64)
         self._pkt_value = np.zeros(cap, dtype=np.float64)
@@ -256,11 +260,6 @@ class FastMeshNetwork:
         #: :meth:`delivered_arrays` reads a view, never a Python list.
         self._dlv_pidx = np.zeros(1024, dtype=np.int64)
         self._dlv_n = 0
-        #: Packets removed from router FIFOs by the current arbitrate
-        #: pass (ejections + multi-flit link departures) — lets
-        #: :meth:`step` derive post-pass occupancy from the pre-pass
-        #: per-node sums instead of a second full reduction.
-        self._removed_by_pass = 0
         #: Router-FIFO occupancy as of the end of the last :meth:`step`
         #: (cheap read for per-cycle driver loops; equal to
         #: :meth:`total_occupancy` until the next injection).
@@ -276,8 +275,6 @@ class FastMeshNetwork:
             int, Tuple[List[List[int]], Deque[Tuple[int, int, int, int]]]
         ] = {}
         self._seq = 0
-        #: Packets in flight on a link: (arrive_cycle, node, in_port, pidx).
-        self._in_flight: List[Tuple[int, int, int, int]] = []
 
         # --- precomputed geometry --------------------------------------
         node = np.arange(n, dtype=np.int64)
@@ -300,17 +297,7 @@ class FastMeshNetwork:
             nc = self._node_col[:, None]
             dr = self._node_row[None, :]
             dc = self._node_col[None, :]
-            self._route_table = np.where(
-                nc < dc,
-                EAST,
-                np.where(
-                    nc > dc,
-                    WEST,
-                    np.where(
-                        nr < dr, SOUTH, np.where(nr > dr, NORTH, LOCAL)
-                    ),
-                ),
-            ).astype(np.int8)
+            self._route_table = _xy_ports(nr, nc, dr, dc).astype(np.int8)
         else:
             self._route_table = None
         self._port_row = np.arange(NUM_PORTS, dtype=np.int64).reshape(
@@ -363,7 +350,7 @@ class FastMeshNetwork:
         # Head-route cache: the fault-free XY output port of the
         # head-of-line packet per (node, port), -1 when empty.  Kept
         # current at every write that can change a head (injection,
-        # commit-pass pop, link landing), which touches far fewer rows
+        # commit-pass pop, link traversal), which touches far fewer rows
         # per cycle than the full head+route gather chain it replaces in
         # the fault-free arbitrate pass.  Routes are destination-only,
         # so the cache stays valid across fault windows (the fault
@@ -429,7 +416,9 @@ class FastMeshNetwork:
         self._buf[src, LOCAL, slot] = pidx
         self._count[src, LOCAL] += 1
         if self._head_route_flat is not None:
-            self._refresh_head_route_one(src, LOCAL)
+            self._hr_dirty.append(
+                np.array([src * NUM_PORTS + LOCAL], dtype=np.int64)
+            )
         self._pkt_injected[pidx] = self.cycle
         self.stats.injected += 1
         return True
@@ -538,7 +527,6 @@ class FastMeshNetwork:
             )
         pidx = np.arange(base, need, dtype=np.int64)
         self._pkt_dst[base:need] = a_dst
-        self._pkt_flits[base:need] = 1
         self._pkt_injected[base:need] = cycle
         self._pkt_vertex[base:need] = a_vtx
         self._pkt_value[base:need] = a_val
@@ -563,29 +551,23 @@ class FastMeshNetwork:
     # Simulation
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Advance the network by one cycle (same three phases as the
-        reference: injection, landing + link bookkeeping, then one
-        batched arbitrate/reserve/commit pass over every router)."""
+        """Advance the network by one cycle (same phases as the
+        reference: injection, then one batched arbitrate/reserve/commit
+        pass over every router)."""
         if self._pending:
             self._inject_pending()
-        if self._in_flight:
-            self._land_in_flight()
-        if self._has_multiflit:
-            busy = self._link_busy
-            np.subtract(busy, 1, out=busy)
-            np.maximum(busy, 0, out=busy)
 
         per_node = self._scr_pernode
         self._count.sum(axis=1, out=per_node)
         active = per_node.nonzero()[0]
         if active.size:
-            # _arbitrate_and_move records how many packets left the
-            # FIFOs (ejections + multi-flit link departures); link moves
-            # are occupancy-neutral, so post-pass occupancy follows from
-            # the pre-pass sum without a second full reduction.
-            self._removed_by_pass = 0
+            # Link moves are occupancy-neutral and only ejections leave
+            # the FIFOs, so post-pass occupancy follows from the pre-pass
+            # sum and the delivery cursor without a second full
+            # reduction.
+            ejected_before = self._dlv_n
             self._arbitrate_and_move(active)
-            occupancy = int(per_node.sum()) - self._removed_by_pass
+            occupancy = int(per_node.sum()) - (self._dlv_n - ejected_before)
         else:
             occupancy = 0
         self.last_occupancy = occupancy
@@ -652,19 +634,7 @@ class FastMeshNetwork:
             dst_row, dst_col = np.divmod(dst, self.topology.cols)
             row = self._node_row[active][:, None]
             col = self._node_col[active][:, None]
-            out[...] = np.where(
-                col < dst_col,
-                EAST,
-                np.where(
-                    col > dst_col,
-                    WEST,
-                    np.where(
-                        row < dst_row,
-                        SOUTH,
-                        np.where(row > dst_row, NORTH, LOCAL),
-                    ),
-                ),
-            )
+            out[...] = _xy_ports(row, col, dst_row, dst_col)
             np.copyto(out, -1, where=nocc)
         else:
             # Fault branch: gather head-of-line state, then apply the
@@ -692,19 +662,7 @@ class FastMeshNetwork:
             row = self._node_row[active][:, None]
             col = self._node_col[active][:, None]
             # Dimension-order routing for every head packet at once.
-            fout = np.where(
-                col < dst_col,
-                EAST,
-                np.where(
-                    col > dst_col,
-                    WEST,
-                    np.where(
-                        row < dst_row,
-                        SOUTH,
-                        np.where(row > dst_row, NORTH, LOCAL),
-                    ),
-                ),
-            )
+            fout = _xy_ports(row, col, dst_row, dst_col)
             # Vectorised mirror of repro.faults.route_with_faults: dead
             # XY links deflect one hop along the other axis (toward the
             # destination row, or the mesh interior), a dead deflection
@@ -765,8 +723,6 @@ class FastMeshNetwork:
         )
         granted = self._scr_granted[:a]
         np.not_equal(mask, 0, out=granted)
-        if self._has_multiflit:
-            granted &= self._link_busy[active] == 0
 
         # Split local ejections from link traversals.  All gathers and
         # scatters below index the flat (node*NUM_PORTS + port) views —
@@ -831,76 +787,28 @@ class FastMeshNetwork:
         self._rr_flat[rr_idx] = rr_val
         if self._head_route_flat is not None:
             self._hr_dirty.append(pf)
-        # serial=None means "every popped packet is single-flit", which
-        # is guaranteed while no flits>1 packet was ever registered.
-        serial = (
-            np.maximum(self._pkt_flits[pidx], 1) - 1
-            if self._has_multiflit
-            else None
-        )
         if faults is not None and gnode.size:
             # Committed traversals leaving through a non-XY port are the
             # detours (counted at commit, same as the reference engine).
             t_dst = self._pkt_dst[pidx[num_local:]]
             t_row, t_col = np.divmod(t_dst, self.topology.cols)
-            n_row = self._node_row[gnode]
-            n_col = self._node_col[gnode]
-            pure = np.where(
-                n_col < t_col,
-                EAST,
-                np.where(
-                    n_col > t_col,
-                    WEST,
-                    np.where(
-                        n_row < t_row,
-                        SOUTH,
-                        np.where(n_row > t_row, NORTH, LOCAL),
-                    ),
-                ),
+            pure = _xy_ports(
+                self._node_row[gnode], self._node_col[gnode], t_row, t_col
             )
             self.stats.rerouted_packets += int(np.count_nonzero(go != pure))
 
         if num_local:
-            self._deliver(
-                local_nodes,
-                pidx[:num_local],
-                None if serial is None else serial[:num_local],
-            )
+            self._deliver(pidx[:num_local])
         if gnode.size:
-            self._traverse(
-                gnode,
-                go,
-                dnf,
-                pidx[num_local:],
-                None if serial is None else serial[num_local:],
-            )
+            self._traverse(dnf, pidx[num_local:])
 
-    def _deliver(
-        self,
-        nodes: np.ndarray,
-        pidx: np.ndarray,
-        serial: Optional[np.ndarray],
-    ) -> None:
+    def _deliver(self, pidx: np.ndarray) -> None:
         """Eject packets at their destination (ascending node order —
-        the same intra-cycle delivery order the reference produces).
-        ``serial=None`` asserts every packet is single-flit."""
-        self.stats.delivered += nodes.size
-        self._removed_by_pass += int(nodes.size)
-        if serial is None:
-            self.stats.total_latency += int(
-                nodes.size * self.cycle - self._pkt_injected[pidx].sum()
-            )
-            delivered_cycle = None
-        else:
-            delivered_cycle = self.cycle + serial
-            self.stats.total_latency += int(
-                (delivered_cycle - self._pkt_injected[pidx]).sum()
-            )
-            multi = serial > 0
-            if multi.any():
-                # +1 because the counter ticks at the start of the next
-                # cycle: block exactly `serial` cycles.
-                self._link_busy[nodes[multi], LOCAL] = serial[multi] + 1
+        the same intra-cycle delivery order the reference produces)."""
+        self.stats.delivered += pidx.size
+        self.stats.total_latency += int(
+            pidx.size * self.cycle - self._pkt_injected[pidx].sum()
+        )
         n0 = self._dlv_n
         need = n0 + pidx.size
         if need > self._dlv_pidx.size:
@@ -916,13 +824,9 @@ class FastMeshNetwork:
             return
         packets = self._pkts
         out = self.delivered
-        for i in range(nodes.size):
+        for i in range(pidx.size):
             packet = packets[pidx[i]]
-            packet.delivered_cycle = (
-                self.cycle
-                if delivered_cycle is None
-                else int(delivered_cycle[i])
-            )
+            packet.delivered_cycle = self.cycle
             out.append(packet)
 
     def delivered_count(self) -> int:
@@ -948,73 +852,35 @@ class FastMeshNetwork:
             self._pkt_value[idx],
         )
 
-    def _traverse(
-        self,
-        nodes: np.ndarray,
-        outs: np.ndarray,
-        df: np.ndarray,
-        pidx: np.ndarray,
-        serial: Optional[np.ndarray],
-    ) -> None:
-        """Move packets across links: single-flit packets land in the
-        downstream FIFO this cycle; wider ones occupy the link and land
-        once fully serialised (store-and-forward).  ``df`` is the flat
-        ``down_node * NUM_PORTS + down_in`` row per packet.
-        ``serial=None`` asserts every packet is single-flit."""
+    def _traverse(self, df: np.ndarray, pidx: np.ndarray) -> None:
+        """Move packets across links into their downstream FIFOs this
+        cycle.  ``df`` is the flat ``down_node * NUM_PORTS + down_in``
+        row per packet."""
         depth = self.buffer_depth
-        self.stats.total_hops += nodes.size
-        if serial is None:
-            slot = self._head_flat.take(df)
-            slot += self._count_flat.take(df)
-            slot %= depth
-            bidx = df * depth
-            bidx += slot
-            self._buf_flat[bidx] = pidx
-            self._count_flat[df] += 1
-            if self._head_route_flat is not None:
-                self._hr_dirty.append(df)
-            return
-        down_node, down_in = np.divmod(df, NUM_PORTS)
-        single = serial == 0
-        arr_node, arr_in, arr_pidx = (
-            down_node[single],
-            down_in[single],
-            pidx[single],
-        )
-        if arr_node.size:
-            slot = (
-                self._head[arr_node, arr_in] + self._count[arr_node, arr_in]
-            ) % depth
-            self._buf[arr_node, arr_in, slot] = arr_pidx
-            self._count[arr_node, arr_in] += 1
-            if self._head_route_flat is not None:
-                self._hr_dirty.append(arr_node * NUM_PORTS + arr_in)
-        if not single.all():
-            for k in np.flatnonzero(~single):
-                self._removed_by_pass += 1
-                self._link_busy[nodes[k], outs[k]] = serial[k] + 1
-                self._in_flight.append(
-                    (
-                        self.cycle + int(serial[k]),
-                        int(down_node[k]),
-                        int(down_in[k]),
-                        int(pidx[k]),
-                    )
-                )
+        self.stats.total_hops += pidx.size
+        slot = self._head_flat.take(df)
+        slot += self._count_flat.take(df)
+        slot %= depth
+        bidx = df * depth
+        bidx += slot
+        self._buf_flat[bidx] = pidx
+        self._count_flat[df] += 1
+        if self._head_route_flat is not None:
+            self._hr_dirty.append(df)
 
     def run_until_drained(
         self, max_cycles: int = 1_000_000, fast_forward: bool = True
     ) -> MeshStats:
         """Step until every scheduled packet has been delivered.
 
-        With ``fast_forward`` (default), idle gaps — no FIFO occupancy,
-        no busy link — are skipped by jumping straight to the next
-        pending-injection or in-flight-landing cycle; the resulting
-        stats are identical to stepping through the gap.
+        With ``fast_forward`` (default), idle gaps — no FIFO occupancy —
+        are skipped by jumping straight to the next pending-injection
+        cycle; the resulting stats are identical to stepping through the
+        gap.
         """
         while True:
             occupancy = self.total_occupancy()
-            if not (self._pending or self._in_flight or occupancy):
+            if not (self._pending or occupancy):
                 break
             if self.cycle >= max_cycles:
                 raise SimulationError(
@@ -1031,25 +897,19 @@ class FastMeshNetwork:
     # Engine-agnostic inspection (shared with MeshNetwork)
     # ------------------------------------------------------------------
     def total_occupancy(self) -> int:
-        """Total packets buffered in router FIFOs (excludes in-flight
-        multi-flit packets; see :meth:`in_flight_packets`)."""
+        """Total packets buffered in router FIFOs."""
         return int(self._count.sum())
 
-    def in_flight_packets(self) -> int:
-        """Packets currently serialising across a link."""
-        return len(self._in_flight)
-
     def next_event_cycle(self) -> Optional[int]:
-        """Cycle of the next scheduled event while the mesh is idle.
+        """Cycle of the next pending injection while the mesh is idle.
 
-        Returns None unless the network is *quiescent* — empty FIFOs,
-        no busy links — with work still scheduled (pending injections
-        or in-flight landings).  Jumping the cycle counter to the
-        returned value is then observationally identical to stepping.
+        Returns None unless every FIFO is empty and an injection is
+        still scheduled.  Jumping the cycle counter to the returned
+        value is then observationally identical to stepping.
         """
-        if self.total_occupancy() or self._link_busy.any():
+        if self.total_occupancy():
             return None
-        events = [arrive for arrive, _n, _p, _i in self._in_flight]
+        events: List[int] = []
         for future, ready in self._pending.values():
             if ready:
                 return None  # a past-due packet is retrying: not idle
@@ -1091,31 +951,12 @@ class FastMeshNetwork:
             self._count_flat.take(pf) > 0, route, -1
         )
 
-    def _refresh_head_route_one(self, node: int, port: int) -> None:
-        """Scalar form of :meth:`_refresh_head_route` for the
-        object-packet slow paths (``inject``/``_inject_pending``/
-        ``_land_in_flight``)."""
-        f = node * NUM_PORTS + port
-        if self._count_flat[f] > 0:
-            pidx = int(
-                self._buf_flat[f * self.buffer_depth + self._head_flat[f]]
-            )
-            dst = int(self._pkt_dst[pidx])
-            self._head_route_flat[f] = self._route_flat[
-                node * self.topology.num_nodes + dst
-            ]
-        else:
-            self._head_route_flat[f] = -1
-
     def _register(self, packet: Packet) -> int:
         pidx = len(self._pkts)
         self._pkts.append(packet)
-        if packet.flits > 1:
-            self._has_multiflit = True
         if pidx >= self._pkt_dst.size:
             self._grow_registry(self._pkt_dst.size * 2)
         self._pkt_dst[pidx] = packet.dst
-        self._pkt_flits[pidx] = packet.flits
         self._pkt_injected[pidx] = packet.injected_cycle
         self._pkt_vertex[pidx] = packet.vertex
         self._pkt_value[pidx] = packet.value
@@ -1123,7 +964,6 @@ class FastMeshNetwork:
 
     def _grow_registry(self, grow: int) -> None:
         self._pkt_dst = np.resize(self._pkt_dst, grow)
-        self._pkt_flits = np.resize(self._pkt_flits, grow)
         self._pkt_injected = np.resize(self._pkt_injected, grow)
         self._pkt_vertex = np.resize(self._pkt_vertex, grow)
         self._pkt_value = np.resize(self._pkt_value, grow)
@@ -1209,28 +1049,6 @@ class FastMeshNetwork:
                 )
             self.stats.injected += len(slot_node)
 
-    def _land_in_flight(self) -> None:
-        """Deposit fully-transferred multi-flit packets downstream; a
-        landing blocked by a full buffer retries next cycle."""
-        depth = self.buffer_depth
-        remaining = []
-        for arrive, node, in_port, pidx in self._in_flight:
-            if arrive > self.cycle:
-                remaining.append((arrive, node, in_port, pidx))
-                continue
-            if self._count[node, in_port] < depth:
-                slot = (
-                    self._head[node, in_port] + self._count[node, in_port]
-                ) % depth
-                self._buf[node, in_port, slot] = pidx
-                self._count[node, in_port] += 1
-                if self._head_route_flat is not None:
-                    self._refresh_head_route_one(node, in_port)
-            else:
-                self.stats.stalled_moves += 1
-                remaining.append((self.cycle + 1, node, in_port, pidx))
-        self._in_flight = remaining
-
     def _run_sanitizer(self, occupancy: int) -> None:
         """End-of-cycle invariant audit over the array state (opt-in)."""
         san = self.sanitizer
@@ -1247,7 +1065,7 @@ class FastMeshNetwork:
             injected=self.stats.injected,
             delivered=self.stats.delivered,
             coalesced=0,  # the mesh moves packets; it never merges them
-            in_flight=occupancy + len(self._in_flight),
+            in_flight=occupancy,
             where="fastmesh",
             cycle=self.cycle,
         )

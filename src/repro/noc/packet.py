@@ -20,9 +20,6 @@ class Packet:
         value: scatter result to be reduced into the vertex's V_temp.
         injected_cycle: cycle at which the packet entered the network.
         delivered_cycle: set by the simulator on arrival.
-        flits: link cycles the packet occupies per hop (1 = a single
-            8-byte update on a wide link; >1 models payloads wider than
-            the link, serialised store-and-forward).
         pid: unique packet ID (diagnostics).
         payload: optional arbitrary extra payload for tests.
     """
@@ -33,7 +30,6 @@ class Packet:
     value: float = 0.0
     injected_cycle: int = 0
     delivered_cycle: Optional[int] = None
-    flits: int = 1
     pid: int = field(default_factory=lambda: next(_packet_ids))
     payload: Any = None
 
@@ -46,7 +42,7 @@ class Packet:
 
 
 def batch_packets(srcs, dsts, vertices, values, injected_cycle: int):
-    """Build one single-flit :class:`Packet` per entry.
+    """Build one :class:`Packet` per entry.
 
     Shared helper for the batched injection paths, which construct
     hundreds of thousands of packets per run — one tight listcomp

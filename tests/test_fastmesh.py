@@ -7,6 +7,8 @@ identical ``MeshStats`` and identical delivery order — with the
 SimSanitizer armed on both engines throughout.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,6 @@ def _run_engine(
     topology,
     src,
     dst,
-    flit_pattern=(1,),
     stagger=0,
     buffer_depth=4,
     sanitize=True,
@@ -50,7 +51,6 @@ def _run_engine(
                 src=s,
                 dst=d,
                 vertex=i,
-                flits=flit_pattern[i % len(flit_pattern)],
                 injected_cycle=(i % 11) * stagger,
             )
         )
@@ -110,18 +110,10 @@ class TestDifferentialEquivalence:
         src, dst = generate("hotspot", topology, 60, seed=2)
         _assert_equivalent(topology, src, dst, buffer_depth=1)
 
-    def test_multiflit_serialisation(self):
-        topology = MeshTopology(4, 4)
-        src, dst = generate("uniform", topology, 80, seed=9)
-        _assert_equivalent(topology, src, dst, flit_pattern=(1, 3, 2))
-
-    def test_multiflit_staggered_depth1(self):
+    def test_staggered_depth1(self):
         topology = MeshTopology(2, 3)
         src, dst = generate("uniform", topology, 48, seed=4)
-        _assert_equivalent(
-            topology, src, dst, flit_pattern=(2, 1), stagger=7,
-            buffer_depth=1,
-        )
+        _assert_equivalent(topology, src, dst, stagger=7, buffer_depth=1)
 
     def test_inject_backpressure_parity(self):
         # Direct inject() refuses the (depth+1)-th packet on both engines.
@@ -132,6 +124,47 @@ class TestDifferentialEquivalence:
             ]
             assert accepted == [True] * 4 + [False]
             assert net.stats.injected == 4
+
+    @pytest.mark.parametrize(
+        "rows,cols,depth", [(4, 4, 1), (3, 5, 2), (8, 8, 4)]
+    )
+    def test_direct_inject_bursts(self, rows, cols, depth):
+        """Per-cycle inject() bursts into half the nodes, then step():
+        identical acceptance, delivery order and stats on both engines."""
+        topology = MeshTopology(rows, cols)
+        n = topology.num_nodes
+        rng = np.random.default_rng(rows * 100 + cols * 10 + depth)
+        bursts = []
+        for _cycle in range(40):
+            burst = []
+            for s in rng.choice(n, size=n // 2, replace=False).tolist():
+                for d in rng.integers(0, n, size=depth + 1).tolist():
+                    burst.append((s, d))
+            bursts.append(burst)
+
+        runs = []
+        for cls in (MeshNetwork, FastMeshNetwork):
+            net = cls(
+                topology,
+                buffer_depth=depth,
+                sanitizer=SimSanitizer(context="test"),
+            )
+            accepted = []
+            for burst in bursts:
+                for s, d in burst:
+                    packet = Packet(src=s, dst=d, vertex=len(accepted))
+                    accepted.append(net.inject(packet))
+                net.step()
+            stats = net.run_until_drained()
+            order = [
+                (p.vertex, p.injected_cycle, p.delivered_cycle)
+                for p in net.delivered
+            ]
+            runs.append((accepted, order, asdict(stats)))
+        assert runs[0] == runs[1]
+        accepted = runs[0][0]
+        assert not all(accepted)  # backpressure really rejected some
+        assert runs[0][2]["delivered"] == sum(accepted)
 
 
 class TestFastForward:

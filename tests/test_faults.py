@@ -48,14 +48,12 @@ def _drain(engine_cls, topology, src, dst, faults, **kwargs):
         faults=faults,
     )
     stagger = kwargs.get("stagger", 0)
-    flit_pattern = kwargs.get("flit_pattern", (1,))
     for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
         net.schedule(
             Packet(
                 src=s,
                 dst=d,
                 vertex=i,
-                flits=flit_pattern[i % len(flit_pattern)],
                 injected_cycle=(i % 11) * stagger,
             )
         )
@@ -145,12 +143,10 @@ class TestFaultEquivalence:
         stats, _ = _assert_fault_equivalent(topology, src, dst)
         assert stats["degraded_cycles"] > 0
 
-    def test_multiflit_and_stagger(self):
+    def test_stagger(self):
         topology = MeshTopology(4, 4)
         src, dst = generate("uniform", topology, 128, seed=3)
-        _assert_fault_equivalent(
-            topology, src, dst, flit_pattern=(1, 3, 2), stagger=2
-        )
+        _assert_fault_equivalent(topology, src, dst, stagger=2)
 
     def test_shallow_buffers(self):
         topology = MeshTopology(3, 3)
